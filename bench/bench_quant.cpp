@@ -20,11 +20,11 @@
 #include "core/rng.hpp"
 #include "core/table.hpp"
 #include "detect/calibration.hpp"
-#include "detect/quantized_sppnet.hpp"
 #include "detect/sppnet_config.hpp"
 #include "detect/trainer.hpp"
 #include "geo/dataset.hpp"
 #include "graph/builder.hpp"
+#include "graph/numeric.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
 #include "simgpu/device.hpp"
@@ -121,9 +121,10 @@ int main(int argc, char** argv) {
            static_cast<std::uint64_t>(flags.get_int("seed")))) {
     picks.push_back(split.train[static_cast<std::size_t>(i)]);
   }
-  detect::QuantizedSppNet quantized(model, dataset.make_batch(picks).images);
+  const auto quantized =
+      graph::quantize_sppnet(model, dataset.make_batch(picks).images);
   const double int8_ap =
-      detect::evaluate_detector(quantized, dataset, split.test)
+      detect::evaluate_detector(*quantized, dataset, split.test)
           .average_precision;
   const double ap_drop_points = (fp32_ap - int8_ap) * 100.0;
 

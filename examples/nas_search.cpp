@@ -16,9 +16,10 @@
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
-#include "detect/quantized_sppnet.hpp"
+#include "detect/calibration.hpp"
 #include "detect/trainer.hpp"
 #include "geo/dataset.hpp"
+#include "graph/numeric.hpp"
 #include "nas/experiment.hpp"
 #include "nas/runner.hpp"
 #include "nas/selection.hpp"
@@ -167,10 +168,10 @@ int main(int argc, char** argv) {
                static_cast<std::int64_t>(split.train.size()), 8, seed)) {
         calibration.push_back(split.train[static_cast<std::size_t>(i)]);
       }
-      detect::QuantizedSppNet quantized(
+      const auto quantized = graph::quantize_sppnet(
           model, dataset.make_batch(calibration).images);
       metrics.average_precision =
-          detect::evaluate_detector(quantized, dataset, split.test)
+          detect::evaluate_detector(*quantized, dataset, split.test)
               .average_precision;
       return metrics;
     };

@@ -131,6 +131,15 @@ void run_compute_tasks(int tasks, const std::function<void(int)>& fn) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
+std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n,
+                                                  std::int64_t chunks,
+                                                  std::int64_t c) {
+  const std::int64_t base = n / chunks;
+  const std::int64_t rem = n % chunks;
+  const std::int64_t lo = c * base + std::min(c, rem);
+  return {lo, lo + base + (c < rem ? 1 : 0)};
+}
+
 ThreadPool::ThreadPool(int threads) {
   const int n = std::max(1, threads);
   workers_.reserve(static_cast<std::size_t>(n));

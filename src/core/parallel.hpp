@@ -20,6 +20,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace dcn {
@@ -71,6 +72,15 @@ bool in_compute_worker();
 /// this function only varies which thread executes a task, never what a
 /// task is. See DESIGN.md "Tensor-engine threading model".
 void run_compute_tasks(int tasks, const std::function<void(int)>& fn);
+
+/// Piece `c` of the contiguous near-even partition of [0, n) into `chunks`
+/// pieces, as [first, second); the first n % chunks pieces hold one extra
+/// element. The batch-parallel conv and executor loops split samples with
+/// it: the partition depends only on (n, chunks), so it is one way to keep
+/// a decomposition independent of the thread count.
+std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n,
+                                                  std::int64_t chunks,
+                                                  std::int64_t c);
 
 /// Fixed-size pool of std::thread workers draining a FIFO task queue.
 /// Tasks run in submission order (though they complete in any order); an

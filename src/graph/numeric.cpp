@@ -5,6 +5,8 @@
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
+#include "graph/builder.hpp"
+#include "graph/passes.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
@@ -15,17 +17,6 @@
 
 namespace dcn::graph {
 namespace {
-
-// Contiguous near-even partition of [0, batch) into `chunks` pieces (the
-// same scheme as Conv2d's sample partition — thread-count independent).
-std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t batch,
-                                                  std::int64_t chunks,
-                                                  std::int64_t c) {
-  const std::int64_t base = batch / chunks;
-  const std::int64_t rem = batch % chunks;
-  const std::int64_t lo = c * base + std::min(c, rem);
-  return {lo, lo + base + (c < rem ? 1 : 0)};
-}
 
 bool is_conv_kind(OpKind kind) {
   return kind == OpKind::kConv2d || kind == OpKind::kFusedConvReLU;
@@ -120,8 +111,7 @@ Tensor run_conv_int8(const OpNode& node, const Tensor& x,
     Workspace& ws = Workspace::tls();
     Workspace::Scope scope(ws);
     // im2col in float, then quantize the columns — padding taps lower to
-    // exact 0.0f, which hits the integer zero point exactly (the same
-    // lowering QuantizedSppNet uses).
+    // exact 0.0f, which hits the integer zero point exactly.
     float* col = ws.floats(static_cast<std::size_t>(k * ohw));
     im2col(x.data() + n * in_stride, g, col);
     std::uint8_t* qcol = ws.bytes(static_cast<std::size_t>(k * ohw));
@@ -155,8 +145,10 @@ Tensor run_linear_int8(const Tensor& x, const QuantizedWeights& weights,
   Tensor output(Shape{n, out});
   Workspace& ws = Workspace::tls();
   Workspace::Scope scope(ws);
-  // y^T[out, n] = W[out, f] x^T[f, n] with the per-output-feature bias as a
-  // per-row bias of the transposed product (QuantizedSppNet's layout).
+  // y^T[out, n] = W[out, f] x^T[f, n]: quantize the input, transpose it into
+  // the activations-on-the-right orientation, and transpose the result back.
+  // The bias is per output feature — a per-row bias of the transposed
+  // product, so it still rides the fused epilogue.
   std::uint8_t* qx = ws.bytes(static_cast<std::size_t>(n * features));
   quantize_u8(x.data(), n * features, input_params, qx);
   std::uint8_t* qxt = ws.bytes(static_cast<std::size_t>(features * n));
@@ -264,9 +256,6 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
                             std::vector<detect::RangeObserver>* observers)
     const {
   const std::int64_t batch = input.rank() > 0 ? input.dim(0) : 0;
-  if (batch < 1) {
-    throw ConfigError("NumericExecutor: batch must be >= 1");
-  }
   std::vector<Tensor> values(graph_.size());
   OpId output_id = kInvalidOp;
   OpId last_id = kInvalidOp;
@@ -276,13 +265,18 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
     last_id = node.id;
     switch (node.kind) {
       case OpKind::kInput: {
-        DCN_CHECK(input.rank() == node.output.dims.size() + 1)
-            << "input rank " << input.rank() << " != 1 + "
-            << node.output.dims.size();
-        for (std::size_t d = 0; d < node.output.dims.size(); ++d) {
-          DCN_CHECK(input.dim(d + 1) == node.output.dims[d])
-              << "input dim " << d + 1 << " is " << input.dim(d + 1)
-              << ", graph expects " << node.output.dims[d];
+        bool matches = input.rank() == node.output.dims.size() + 1;
+        for (std::size_t d = 0; matches && d < node.output.dims.size(); ++d) {
+          matches = input.dim(d + 1) == node.output.dims[d];
+        }
+        if (!matches) {
+          throw ShapeError("NumericExecutor: input " +
+                           input.shape().to_string() +
+                           " does not match the graph's per-sample shape " +
+                           node.output.to_string());
+        }
+        if (batch < 1) {
+          throw ConfigError("NumericExecutor: batch must be >= 1");
         }
         values[idx] = input;
         break;
@@ -388,11 +382,18 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
 }
 
 Tensor NumericExecutor::forward(const Tensor& input) const {
+  if (quantized_) {
+    throw ConfigError("NumericExecutor::forward after quantize() released "
+                      "the fp32 weights");
+  }
   return run(input, /*int8=*/false, nullptr);
 }
 
 void NumericExecutor::quantize(const Tensor& calibration,
                                const detect::CalibrationOptions& options) {
+  if (quantized_) {
+    throw ConfigError("NumericExecutor::quantize: already quantized");
+  }
   if (calibration.rank() != 4 || calibration.dim(0) < 1) {
     throw ConfigError("NumericExecutor::quantize: calibration batch must be "
                       "non-empty NCHW, got " +
@@ -402,7 +403,7 @@ void NumericExecutor::quantize(const Tensor& calibration,
   (void)run(calibration, /*int8=*/false, &observers);
   for (const OpNode& node : graph_.nodes()) {
     if (!is_conv_kind(node.kind) && !is_linear_kind(node.kind)) continue;
-    const OpWeights& w = weights_.at(node.name);
+    OpWeights& w = weights_.at(node.name);
     QuantOp q;
     const std::int64_t rows = w.weight.dim(0);
     q.weights = quantize_weights_per_channel(w.weight.data(), rows,
@@ -410,6 +411,9 @@ void NumericExecutor::quantize(const Tensor& calibration,
     q.input_params =
         observers[static_cast<std::size_t>(node.id)].quant_params(options);
     quant_[static_cast<std::size_t>(node.id)] = std::move(q);
+    // int8 inference reads only the bias; the fp32 weights are 4x the
+    // int8 copy (127 MB for SPP-Net #2), so a deployed model drops them.
+    w.weight = Tensor();
   }
   quantized_ = true;
 }
@@ -419,6 +423,45 @@ Tensor NumericExecutor::forward_int8(const Tensor& input) const {
     throw ConfigError("NumericExecutor::forward_int8 before quantize()");
   }
   return run(input, /*int8=*/true, nullptr);
+}
+
+namespace {
+
+// The int8 deployment as a Module, so evaluate_detector and scan_watershed
+// score it through the same path as the float SppNet.
+class QuantizedModel final : public Module {
+ public:
+  explicit QuantizedModel(NumericExecutor executor)
+      : executor_(std::move(executor)) {}
+
+  Tensor forward(const Tensor& input) override {
+    return executor_.forward_int8(input);
+  }
+  Tensor backward(const Tensor&) override {
+    throw Error("quantized SPP-Net is inference-only; train the float model "
+                "and re-quantize instead");
+  }
+  std::string name() const override { return "Int8SppNet"; }
+
+ private:
+  NumericExecutor executor_;
+};
+
+}  // namespace
+
+std::unique_ptr<Module> quantize_sppnet(
+    detect::SppNet& net, const Tensor& calibration,
+    const detect::CalibrationOptions& options) {
+  if (calibration.rank() != 4 || calibration.dim(0) < 1 ||
+      calibration.dim(2) != calibration.dim(3)) {
+    throw ConfigError("quantize_sppnet: calibration batch must be non-empty "
+                      "square NCHW, got " + calibration.shape().to_string());
+  }
+  NumericExecutor executor(
+      optimize_graph(build_inference_graph(net.config(), calibration.dim(2))),
+      extract_weights(net));
+  executor.quantize(calibration, options);
+  return std::make_unique<QuantizedModel>(std::move(executor));
 }
 
 }  // namespace dcn::graph

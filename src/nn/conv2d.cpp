@@ -19,16 +19,6 @@ namespace {
 // model"). run_compute_tasks only changes which thread executes a chunk.
 constexpr std::int64_t kGradChunks = 8;
 
-// Contiguous near-even partition of [0, batch) into `chunks` pieces.
-std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t batch,
-                                                  std::int64_t chunks,
-                                                  std::int64_t c) {
-  const std::int64_t base = batch / chunks;
-  const std::int64_t rem = batch % chunks;
-  const std::int64_t lo = c * base + std::min(c, rem);
-  return {lo, lo + base + (c < rem ? 1 : 0)};
-}
-
 }  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,

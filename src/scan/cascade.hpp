@@ -112,8 +112,9 @@ struct ScanResult {
 };
 
 /// Run the two-tier cascade over the whole photo. `screener` and `full`
-/// are [N,C,H,W] -> [N,5] detection modules (SppNet / QuantizedSppNet);
-/// both are switched to eval mode. Ground truth comes from `crossings`.
+/// are [N,C,H,W] -> [N,5] detection modules (an SppNet, or the int8 model
+/// of graph::quantize_sppnet); both are switched to eval mode. Ground
+/// truth comes from `crossings`.
 ScanResult scan_watershed(const geo::Orthophoto& photo,
                           const geo::GeoTransform& transform,
                           const std::vector<geo::Crossing>& crossings,

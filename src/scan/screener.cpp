@@ -7,8 +7,8 @@
 #include "core/logging.hpp"
 #include "core/rng.hpp"
 #include "detect/calibration.hpp"
-#include "detect/quantized_sppnet.hpp"
 #include "detect/sppnet.hpp"
+#include "graph/numeric.hpp"
 
 namespace dcn::scan {
 
@@ -99,8 +99,7 @@ ScreenerSelection select_screener(const geo::DrainageDataset& dataset,
   // re-profiles at int8 kernels/schedule and re-scores the quantized
   // model's AP on the held-out split; the quantized instances are cached
   // so the winner can be returned without re-quantizing.
-  std::vector<std::unique_ptr<detect::QuantizedSppNet>> quantized(
-      points.size());
+  std::vector<std::unique_ptr<Module>> quantized(points.size());
   const nas::QuantizeEvaluator evaluator =
       [&](const nas::Trial& trial) -> nas::TrialMetrics {
     if (!config.int8) {
@@ -120,8 +119,7 @@ ScreenerSelection select_screener(const geo::DrainageDataset& dataset,
       picks.push_back(split.train[static_cast<std::size_t>(i)]);
     }
     auto& model = *models[static_cast<std::size_t>(trial.index)];
-    auto q = std::make_unique<detect::QuantizedSppNet>(
-        model, dataset.make_batch(picks).images);
+    auto q = graph::quantize_sppnet(model, dataset.make_batch(picks).images);
     metrics.average_precision =
         detect::evaluate_detector(*q, dataset, split.test).average_precision;
     quantized[static_cast<std::size_t>(trial.index)] = std::move(q);

@@ -75,7 +75,7 @@ struct ScreenerSelection {
   /// The chosen coordinate, materialized.
   detect::SppNetConfig config;
   /// The trained winner at the chosen precision (SppNet for fp32,
-  /// QuantizedSppNet for int8), ready for scan_watershed.
+  /// graph::quantize_sppnet's model for int8), ready for scan_watershed.
   std::unique_ptr<Module> model;
 };
 

@@ -1,126 +1,18 @@
-// Tests for the second wave of extensions: AvgPool/LeakyReLU/BatchNorm,
-// schedule serialization, evaluation reports, geo tiling, and NAS
-// experiment persistence.
+// Tests for the second wave of extensions: schedule serialization, geo
+// tiling, and NAS experiment persistence.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/error.hpp"
-#include "core/rng.hpp"
-#include "detect/report.hpp"
 #include "detect/sppnet_config.hpp"
 #include "geo/tiling.hpp"
 #include "graph/builder.hpp"
 #include "ios/scheduler.hpp"
 #include "ios/serialize.hpp"
 #include "nas/experiment.hpp"
-#include "nn/gradcheck.hpp"
-#include "nn/norm.hpp"
 #include "simgpu/spec.hpp"
 
 namespace dcn {
 namespace {
-
-TEST(AvgPool2d, KnownValues) {
-  AvgPool2d pool(2, 2);
-  Tensor x(Shape{1, 1, 4, 4});
-  for (std::int64_t i = 0; i < 16; ++i) x[i] = static_cast<float>(i);
-  const Tensor y = pool.forward(x);
-  EXPECT_EQ(y.shape(), Shape({1, 1, 2, 2}));
-  EXPECT_FLOAT_EQ(y[0], (0 + 1 + 4 + 5) / 4.0f);
-  EXPECT_FLOAT_EQ(y[3], (10 + 11 + 14 + 15) / 4.0f);
-}
-
-TEST(AvgPool2d, GradCheck) {
-  AvgPool2d pool(2, 2);
-  Rng rng(3);
-  Tensor x(Shape{2, 3, 6, 6});
-  x.fill_normal(rng, 0.0f, 1.0f);
-  const auto result = check_input_gradient(pool, x);
-  EXPECT_TRUE(result.ok) << result.detail;
-}
-
-TEST(LeakyReLU, ForwardAndGradCheck) {
-  LeakyReLU leaky(0.1f);
-  Tensor x(Shape{3});
-  x[0] = -2.0f;
-  x[1] = 0.0f;
-  x[2] = 3.0f;
-  const Tensor y = leaky.forward(x);
-  EXPECT_FLOAT_EQ(y[0], -0.2f);
-  EXPECT_FLOAT_EQ(y[2], 3.0f);
-
-  Rng rng(5);
-  Tensor rx(Shape{4, 7});
-  rx.fill_normal(rng, 0.0f, 1.0f);
-  const auto result = check_input_gradient(leaky, rx);
-  EXPECT_TRUE(result.ok) << result.detail;
-}
-
-TEST(BatchNorm2d, NormalizesBatchStatistics) {
-  BatchNorm2d bn(2);
-  bn.set_training(true);
-  Rng rng(7);
-  Tensor x(Shape{4, 2, 5, 5});
-  x.fill_normal(rng, 3.0f, 2.0f);
-  const Tensor y = bn.forward(x);
-  // Per-channel output mean ~0 and variance ~1 (gamma=1, beta=0).
-  for (std::int64_t c = 0; c < 2; ++c) {
-    double mean = 0.0;
-    double var = 0.0;
-    std::int64_t count = 0;
-    for (std::int64_t n = 0; n < 4; ++n) {
-      for (std::int64_t i = 0; i < 25; ++i) {
-        mean += y[(n * 2 + c) * 25 + i];
-        ++count;
-      }
-    }
-    mean /= count;
-    for (std::int64_t n = 0; n < 4; ++n) {
-      for (std::int64_t i = 0; i < 25; ++i) {
-        const double d = y[(n * 2 + c) * 25 + i] - mean;
-        var += d * d;
-      }
-    }
-    var /= count;
-    EXPECT_NEAR(mean, 0.0, 1e-4);
-    EXPECT_NEAR(var, 1.0, 1e-2);
-  }
-}
-
-TEST(BatchNorm2d, EvalUsesRunningStats) {
-  BatchNorm2d bn(1, /*momentum=*/1.0);  // adopt batch stats immediately
-  bn.set_training(true);
-  Rng rng(9);
-  Tensor x(Shape{8, 1, 4, 4});
-  x.fill_normal(rng, 5.0f, 3.0f);
-  (void)bn.forward(x);
-  EXPECT_NEAR(bn.running_mean()[0], 5.0f, 0.5f);
-  EXPECT_NEAR(bn.running_var()[0], 9.0f, 2.0f);
-
-  bn.set_training(false);
-  Tensor probe(Shape{1, 1, 1, 1});
-  probe[0] = bn.running_mean()[0];
-  const Tensor y = bn.forward(probe);
-  EXPECT_NEAR(y[0], 0.0f, 1e-4f);  // the running mean normalizes to ~0
-}
-
-TEST(BatchNorm2d, GradCheckTrainingMode) {
-  BatchNorm2d bn(3);
-  bn.set_training(true);
-  Rng rng(11);
-  Tensor x(Shape{3, 3, 4, 4});
-  x.fill_normal(rng, 0.0f, 1.0f);
-  auto result = check_input_gradient(bn, x, 1e-3, 0.1);
-  EXPECT_TRUE(result.ok) << result.detail;
-  result = check_parameter_gradients(bn, x, 1e-3, 0.1);
-  EXPECT_TRUE(result.ok) << result.detail;
-}
-
-TEST(BatchNorm2d, RejectsWrongChannels) {
-  BatchNorm2d bn(4);
-  EXPECT_THROW(bn.forward(Tensor(Shape{1, 3, 4, 4})), Error);
-}
 
 TEST(ScheduleSerialize, RoundTripsOptimizedSchedule) {
   const auto g =
@@ -161,50 +53,6 @@ TEST(ScheduleSerialize, LoadValidatesAgainstGraph) {
   const std::string path = testing::TempDir() + "/dcn_bad_schedule.txt";
   ios::save_schedule(ios::Schedule{{ios::Stage{{ios::Group{{1}}}}}}, path);
   EXPECT_THROW(ios::load_schedule(g, path), Error);  // misses most ops
-}
-
-std::vector<detect::ScoredDetection> sample_detections() {
-  return {
-      {0.9f, true, 0.8f},   // TP
-      {0.8f, true, 0.3f},   // fired but badly localized -> FN at IoU 0.5
-      {0.7f, false, 0.0f},  // FP
-      {0.2f, true, 0.9f},   // below threshold -> FN
-      {0.1f, false, 0.0f},  // TN
-  };
-}
-
-TEST(DetectReport, ConfusionCounts) {
-  const auto c = detect::confusion_at_threshold(sample_detections(), 0.5f);
-  EXPECT_EQ(c.true_positives, 1);
-  EXPECT_EQ(c.false_positives, 1);
-  EXPECT_EQ(c.false_negatives, 2);
-  EXPECT_EQ(c.true_negatives, 1);
-  EXPECT_EQ(c.total(), 5);
-  EXPECT_NEAR(c.precision(), 0.5, 1e-9);
-  EXPECT_NEAR(c.recall(), 1.0 / 3.0, 1e-9);
-  EXPECT_GT(c.f1(), 0.0);
-}
-
-TEST(DetectReport, EmptyConfusionIsSafe) {
-  const detect::ConfusionSummary c;
-  EXPECT_EQ(c.precision(), 0.0);
-  EXPECT_EQ(c.recall(), 0.0);
-  EXPECT_EQ(c.f1(), 0.0);
-}
-
-TEST(DetectReport, PrCurveCsvShape) {
-  const std::string csv = detect::pr_curve_csv(sample_detections());
-  EXPECT_NE(csv.find("threshold,precision,recall"), std::string::npos);
-  // One row per detection plus header.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 6);
-}
-
-TEST(DetectReport, TextReportMentionsMetrics) {
-  const std::string report =
-      detect::evaluation_report(sample_detections());
-  EXPECT_NE(report.find("AP "), std::string::npos);
-  EXPECT_NE(report.find("F1"), std::string::npos);
-  EXPECT_NE(report.find("gt +"), std::string::npos);
 }
 
 TEST(GeoTransform, RoundTripsCoordinates) {

@@ -1,13 +1,15 @@
 // Tests for the graph optimizer pass framework: registry and pipeline
 // mechanics (idempotence, DCE, canonicalization, opt-out flags), the
 // launch-reduction acceptance floor, IOS scheduling over the fused graph,
-// and the semantics-preservation proof — fused vs unfused inference must be
+// the semantics-preservation proof — fused vs unfused inference must be
 // bit-identical at fp32 and int8, at every thread count, because fused
-// nodes run through the tensor engine's existing GEMM/qgemm epilogues.
+// nodes run through the tensor engine's existing GEMM/qgemm epilogues —
+// and the int8 deployment (quantize_sppnet) pinned to output digests.
 #include "graph/passes.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -15,7 +17,6 @@
 #include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
-#include "detect/quantized_sppnet.hpp"
 #include "detect/sppnet.hpp"
 #include "detect/sppnet_config.hpp"
 #include "graph/builder.hpp"
@@ -23,6 +24,7 @@
 #include "ios/executor.hpp"
 #include "ios/schedule.hpp"
 #include "ios/scheduler.hpp"
+#include "scan/screener.hpp"
 #include "simgpu/device.hpp"
 #include "simgpu/spec.hpp"
 
@@ -45,6 +47,15 @@ Tensor random_batch(std::int64_t n, std::int64_t channels, std::int64_t size,
   Rng rng(seed);
   batch.fill_normal(rng, 0.0f, 1.0f);
   return batch;
+}
+
+// FNV-1a-64 of a tensor's bytes: pins exact int8 outputs.
+std::uint64_t digest(const Tensor& t) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  const std::size_t n = sizeof(float) * static_cast<std::size_t>(t.numel());
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ bytes[i]) * 1099511628211ull;
+  return h;
 }
 
 // Restores the global thread override even when an assertion fails.
@@ -238,7 +249,7 @@ TEST(Numerics, ExecutorMatchesTheRealModels) {
   net.set_training(false);
   const WeightMap weights = extract_weights(net);
   const Graph naive = build_inference_graph(detect::original_sppnet(), kInput);
-  NumericExecutor executor(naive, weights);
+  const NumericExecutor executor(naive, weights);
   const Tensor x = random_batch(2, 4, kInput, 29);
 
   // fp32: the executor walks the same layers the module stack runs.
@@ -249,16 +260,59 @@ TEST(Numerics, ExecutorMatchesTheRealModels) {
     EXPECT_EQ(got[i], expected[i]) << "fp32 element " << i;
   }
 
-  // int8: same calibration batch -> same quantized deployment.
-  const Tensor calibration = random_batch(4, 4, kInput, 31);
-  detect::QuantizedSppNet quantized(net, calibration);
-  executor.quantize(calibration);
-  const Tensor q_expected = quantized.forward(x);
-  const Tensor q_got = executor.forward_int8(x);
-  ASSERT_EQ(q_got.numel(), q_expected.numel());
-  for (std::int64_t i = 0; i < q_got.numel(); ++i) {
-    EXPECT_EQ(q_got[i], q_expected[i]) << "int8 element " << i;
+  // int8: quantize_sppnet's output bytes are pinned to the digests of the
+  // layer-by-layer int8 SPP-Net it replaced (same weights, calibration and
+  // input), for the paper's model and for a cascade screener at 48 px.
+  // Every kernel variant must reproduce them: a mismatch is a determinism
+  // bug, not a reason to re-pin.
+  nas::SearchPoint point;
+  point.conv1_kernel = 3;
+  point.spp_first_level = 2;
+  point.fc_sizes = {32};
+  Rng screener_rng(43);
+  detect::SppNet screener(scan::materialize_screener(point, 8, 4),
+                          screener_rng);
+  ThreadGuard guard;
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    EXPECT_EQ(digest(quantize_sppnet(net, random_batch(4, 4, kInput, 31))
+                         ->forward(x)),
+              0x76abe808a7785697ull)
+        << "original_sppnet threads=" << threads;
+    EXPECT_EQ(digest(quantize_sppnet(screener, random_batch(8, 4, 48, 47))
+                         ->forward(random_batch(5, 4, 48, 53))),
+              0xa5cf35d558bc83ffull)
+        << "screener-w8-k3-l2-f32 threads=" << threads;
   }
+}
+
+TEST(Numerics, WrongInputShapeThrowsShapeError) {
+  Rng rng(47);
+  detect::SppNet net(detect::original_sppnet(), rng);
+  const auto quantized = quantize_sppnet(net, random_batch(2, 4, kInput, 53));
+  // A tile of another size, wrong channels, or a missing batch dimension.
+  EXPECT_THROW(quantized->forward(random_batch(1, 4, kInput + 8, 59)),
+               ShapeError);
+  EXPECT_THROW(quantized->forward(random_batch(1, 3, kInput, 59)),
+               ShapeError);
+  EXPECT_THROW(quantized->forward(Tensor(Shape{4, kInput, kInput})),
+               ShapeError);
+  const NumericExecutor executor(
+      build_inference_graph(detect::original_sppnet(), kInput),
+      extract_weights(net));
+  EXPECT_THROW(executor.forward(random_batch(1, 4, kInput + 8, 59)),
+               ShapeError);
+}
+
+TEST(Numerics, QuantizeSppnetRejectsBadCalibration) {
+  Rng rng(61);
+  detect::SppNet net(detect::original_sppnet(), rng);
+  EXPECT_THROW(quantize_sppnet(net, Tensor(Shape{2, 4, kInput, kInput + 8})),
+               ConfigError);  // not square
+  EXPECT_THROW(quantize_sppnet(net, Tensor(Shape{0, 4, kInput, kInput})),
+               ConfigError);  // empty
+  EXPECT_THROW(quantize_sppnet(net, Tensor(Shape{4, kInput, kInput})),
+               ConfigError);  // not NCHW
 }
 
 TEST(Numerics, GuardsMisuse) {
@@ -269,6 +323,12 @@ TEST(Numerics, GuardsMisuse) {
   const NumericExecutor executor(naive, weights);
   EXPECT_THROW(executor.forward_int8(random_batch(1, 4, kInput, 41)),
                ConfigError);  // quantize() first
+  NumericExecutor quantized(naive, weights);
+  quantized.quantize(random_batch(2, 4, kInput, 43));
+  EXPECT_THROW(quantized.forward(random_batch(1, 4, kInput, 41)),
+               ConfigError);  // fp32 weights released
+  EXPECT_THROW(quantized.quantize(random_batch(2, 4, kInput, 43)),
+               ConfigError);
   WeightMap missing = weights;
   missing.erase("conv0");
   EXPECT_THROW(NumericExecutor(naive, missing), ConfigError);

