@@ -3,7 +3,7 @@
 // actually hits (im2col GEMMs and FC layers). Every bench reports GFLOP/s;
 // the 512^3 shape with a thread sweep is the acceptance benchmark for the
 // parallel + vectorized engine (export with
-//   bench_micro_gemm --benchmark_filter=512 \
+//   bench_micro_gemm --benchmark_filter=512
 //     --benchmark_out=BENCH_gemm.json --benchmark_out_format=json).
 #include <benchmark/benchmark.h>
 

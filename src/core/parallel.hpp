@@ -1,14 +1,13 @@
-// Shared-memory parallel loop helpers and a task thread pool.
+// The tensor engine's std::thread compute pool and a task thread pool.
 //
-// All data-parallel loops in the library funnel through parallel_for so the
-// threading backend (OpenMP when available, serial otherwise) is chosen in
-// one place. Grain-size control avoids spawning parallel regions for tiny
-// trip counts, which matters for the many small tensors in SPP branches.
+// Data-parallel kernels split their work into a fixed number of tasks and
+// hand them to run_compute_tasks, which runs them on one shared,
+// lazily-grown pool; set_num_threads is the single thread-count knob.
 //
 // ThreadPool is the coarse-grained counterpart: long-lived std::thread
 // workers executing independent tasks (one task = one NAS trial). Pool
-// tasks may themselves call parallel_for; keep the product of pool size and
-// set_num_threads at or below the machine's core count to avoid
+// tasks may themselves launch parallel kernels; keep the product of pool
+// size and set_num_threads at or below the machine's core count to avoid
 // oversubscription.
 #pragma once
 
@@ -25,34 +24,16 @@
 
 namespace dcn {
 
-/// Number of worker threads the backend will use (1 when OpenMP is absent).
-/// Safe to call from any thread, including inside pool tasks.
-int hardware_threads();
-
-/// Set the number of threads used by subsequent parallel_for calls.
-/// Values < 1 reset to the hardware default. Safe to call concurrently with
-/// hardware_threads() (the setting is a single atomic), though in-flight
-/// parallel regions keep the count they started with.
-void set_num_threads(int n);
-
-/// Run fn(i) for i in [begin, end). Executes in parallel when the trip count
-/// is at least `grain`, serially otherwise. fn must be safe to invoke
-/// concurrently for distinct i.
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
-                  std::int64_t grain = 64);
-
-/// Chunked variant: fn(chunk_begin, chunk_end) over a partition of
-/// [begin, end). Lower overhead than the per-index form for tight loops.
-void parallel_for_chunked(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t)>& fn,
-    std::int64_t grain = 1024);
+/// Set the number of threads the compute pool targets (see
+/// compute_threads()). Values < 1 reset to the hardware default. Returns the
+/// previous setting, 0 meaning the default, so a caller can restore it. Safe
+/// to call concurrently with compute_threads() (the setting is a single
+/// atomic), though in-flight kernel launches keep the count they started
+/// with.
+int set_num_threads(int n);
 
 /// Number of threads the tensor-engine compute pool targets: the
 /// set_num_threads() override when present, else the hardware concurrency.
-/// Unlike hardware_threads() this does not require OpenMP, so the
-/// std::thread compute pool scales even in TSan builds that avoid OpenMP.
 int compute_threads();
 
 /// True when the calling thread is a shared-compute-pool worker. Parallel

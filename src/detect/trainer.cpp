@@ -48,10 +48,10 @@ TrainHistory train_detector(Module& model, const geo::DrainageDataset& dataset,
       << split.test.size() << ")";
 
   // Optionally pin the tensor engine's thread count for this run. The
-  // previous effective value is restored on exit; weights do not depend on
-  // the setting (the engine's decompositions are thread-count invariant).
-  const int previous_threads = hardware_threads();
-  if (config.jobs > 0) set_num_threads(config.jobs);
+  // previous setting is restored on exit; weights do not depend on the
+  // setting (the engine's decompositions are thread-count invariant).
+  const int previous_threads =
+      config.jobs > 0 ? set_num_threads(config.jobs) : 0;
 
   Sgd optimizer(model.parameters(), config.sgd);
   Rng shuffle_rng(config.shuffle_seed);

@@ -69,10 +69,6 @@ using DequantizeU8Fn = void (*)(const std::uint8_t* src, std::int64_t n,
 using QuantizeS8Fn = void (*)(const float* src, std::int64_t n,
                               float inv_scale, std::int8_t* dst);
 
-/// max / min over n floats (n >= 1). Exact selection; NaN elements are
-/// skipped by the comparison predicate exactly as the scalar loop does.
-using ReduceMinMaxFn = float (*)(const float* src, std::int64_t n);
-
 /// One ISA variant: a named bundle of kernels plus the runtime gate that
 /// says whether the executing CPU can run it. Higher priority wins the
 /// auto-dispatch when supported.
@@ -89,8 +85,6 @@ struct KernelVariant {
   QuantizeU8Fn quantize_u8 = nullptr;
   DequantizeU8Fn dequantize_u8 = nullptr;
   QuantizeS8Fn quantize_s8 = nullptr;
-  ReduceMinMaxFn reduce_max = nullptr;
-  ReduceMinMaxFn reduce_min = nullptr;
 
   /// The tile used when tuning is disabled (first registered entry).
   const SgemmMicroKernel& default_sgemm() const { return sgemm.front(); }

@@ -6,7 +6,9 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "geo/dataset.hpp"
 #include "geo/roads.hpp"
+#include "geo/streamstats.hpp"
 #include "geo/terrain.hpp"
 
 namespace dcn::geo {
@@ -160,6 +162,63 @@ TEST(Breach, LowersNeighborhood) {
   EXPECT_EQ(dem.at(4, 4), 8.0f);
   EXPECT_EQ(dem.at(3, 3), 8.0f);
   EXPECT_EQ(dem.at(4, 6), 10.0f);
+}
+
+TEST(StreamStats, StrahlerOrderOnConfluence) {
+  // Two order-1 headwaters meet: the downstream stem is order 2.
+  //   Stream layout on a 5x5 grid draining east along rows 1 and 3,
+  //   merging at (2,3) then continuing east.
+  geo::Raster dem(5, 5);
+  for (std::int64_t r = 0; r < 5; ++r) {
+    for (std::int64_t c = 0; c < 5; ++c) {
+      dem.at(r, c) = static_cast<float>(10 - c);  // east-draining
+    }
+  }
+  // Bend both side rows into the center row at column 3.
+  dem.at(2, 3) -= 0.5f;
+  dem.at(2, 4) -= 1.0f;
+  geo::Raster streams(5, 5);
+  streams.at(1, 1) = streams.at(1, 2) = 1.0f;
+  streams.at(3, 1) = streams.at(3, 2) = 1.0f;
+  streams.at(2, 3) = streams.at(2, 4) = 1.0f;
+  const auto dirs = geo::flow_directions(dem);
+  // Force the confluence: route (1,2) and (3,2) diagonally into (2,3).
+  auto set_dir = [&](std::int64_t r, std::int64_t c, int d) {
+    const_cast<std::vector<int>&>(dirs)[static_cast<std::size_t>(r * 5 + c)] =
+        d;
+  };
+  set_dir(1, 2, 1);  // SE
+  set_dir(3, 2, 7);  // NE
+  const geo::Raster order = geo::strahler_order(streams, dirs);
+  EXPECT_EQ(order.at(1, 1), 1.0f);
+  EXPECT_EQ(order.at(3, 2), 1.0f);
+  EXPECT_EQ(order.at(2, 3), 2.0f);  // confluence of two order-1 streams
+  EXPECT_EQ(order.at(2, 4), 2.0f);  // order persists downstream
+  EXPECT_EQ(order.at(0, 0), 0.0f);  // non-stream cells are 0
+}
+
+TEST(StreamStats, SyntheticWatershedIsDendritic) {
+  geo::DatasetConfig config;
+  config.seed = 5;
+  config.terrain.rows = config.terrain.cols = 384;
+  Rng rng(config.seed);
+  const geo::World world = geo::synthesize_world(config, rng);
+  const geo::Raster filled = geo::fill_depressions(world.dem);
+  const auto dirs = geo::flow_directions(filled);
+  const auto stats = geo::watershed_stats(world.dem, world.streams, dirs,
+                                          world.crossings);
+  // A dendritic network: multiple orders, multiple sources, plausible
+  // drainage density for the loess-plain configuration.
+  EXPECT_GE(stats.max_strahler_order, 2);
+  EXPECT_GT(stats.sources, 1);
+  EXPECT_GT(stats.drainage_density, 0.001);
+  EXPECT_LT(stats.drainage_density, 0.2);
+  EXPECT_GT(stats.relief, 1.0);
+  EXPECT_GT(stats.crossing_density, 0.0);
+  // Order-1 cells outnumber the top order's cells (Horton-like scaling).
+  EXPECT_GT(stats.cells_per_order[1],
+            stats.cells_per_order[static_cast<std::size_t>(
+                stats.max_strahler_order)]);
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // Tests for the IOS scheduler: schedule validity, DP optimality, executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/error.hpp"
 #include "detect/sppnet_config.hpp"
 #include "graph/builder.hpp"
 #include "ios/executor.hpp"
+#include "ios/gantt.hpp"
 #include "ios/schedule.hpp"
 #include "ios/scheduler.hpp"
+#include "ios/serialize.hpp"
 #include "simgpu/device.hpp"
+#include "simgpu/spec.hpp"
 
 namespace dcn::ios {
 namespace {
@@ -321,6 +326,88 @@ TEST(ScheduleCost, MatchesExecutorUpToTransfersAndSync) {
   // pure stage cost, but only by a bounded overhead.
   EXPECT_GT(measured, modeled);
   EXPECT_LT(measured, modeled + 500e-6);
+}
+
+TEST(ScheduleSerialize, RoundTripsOptimizedSchedule) {
+  const auto g =
+      graph::build_inference_graph(detect::sppnet_candidate2(), 100);
+  const auto spec = simgpu::a5500_spec();
+  const ios::Schedule schedule = ios::optimize_schedule(g, spec);
+  const std::string text = ios::serialize_schedule(schedule);
+  const ios::Schedule back = ios::deserialize_schedule(text);
+  ASSERT_EQ(back.num_stages(), schedule.num_stages());
+  EXPECT_EQ(back.num_kernels(), schedule.num_kernels());
+  EXPECT_EQ(ios::serialize_schedule(back), text);
+  ios::validate_schedule(g, back);
+}
+
+TEST(ScheduleSerialize, FileRoundTripValidates) {
+  const auto g =
+      graph::build_inference_graph(detect::original_sppnet(), 64);
+  const auto spec = simgpu::a5500_spec();
+  const ios::Schedule schedule = ios::optimize_schedule(g, spec);
+  const std::string path = testing::TempDir() + "/dcn_schedule.txt";
+  ios::save_schedule(schedule, path);
+  const ios::Schedule back = ios::load_schedule(g, path);
+  EXPECT_EQ(back.num_stages(), schedule.num_stages());
+}
+
+TEST(ScheduleSerialize, RejectsGarbage) {
+  EXPECT_THROW(ios::deserialize_schedule("nonsense"), Error);
+  EXPECT_THROW(ios::deserialize_schedule("schedule v1\ngroup 1\n"), Error);
+  EXPECT_THROW(ios::deserialize_schedule("schedule v1\nstage\nwat 1\n"),
+               Error);
+  EXPECT_THROW(ios::deserialize_schedule("schedule v1\nstage\ngroup\n"),
+               Error);
+}
+
+TEST(ScheduleSerialize, LoadValidatesAgainstGraph) {
+  const auto g =
+      graph::build_inference_graph(detect::original_sppnet(), 64);
+  const std::string path = testing::TempDir() + "/dcn_bad_schedule.txt";
+  ios::save_schedule(ios::Schedule{{ios::Stage{{ios::Group{{1}}}}}}, path);
+  EXPECT_THROW(ios::load_schedule(g, path), Error);  // misses most ops
+}
+
+TEST(Gantt, StructureMatchesSchedule) {
+  const auto g =
+      graph::build_inference_graph(detect::sppnet_candidate2(), 100);
+  const auto spec = simgpu::a5500_spec();
+  const ios::Schedule schedule = ios::optimize_schedule(g, spec);
+  const std::string gantt = ios::render_gantt(g, spec, schedule);
+  // One row per concurrent stream.
+  for (std::size_t s = 0; s < schedule.max_concurrency(); ++s) {
+    EXPECT_NE(gantt.find("stream " + std::to_string(s)),
+              std::string::npos);
+  }
+  // The large kernels' names appear (tiny kernels truncate to "[]").
+  EXPECT_NE(gantt.find("fc0"), std::string::npos);
+  EXPECT_NE(gantt.find("conv2"), std::string::npos);
+  // Stage separators: one '|' per stage per row.
+  const std::size_t bars =
+      static_cast<std::size_t>(std::count(gantt.begin(), gantt.end(), '|'));
+  EXPECT_EQ(bars, schedule.num_stages() * schedule.max_concurrency());
+}
+
+TEST(Gantt, SequentialScheduleIsSingleRow) {
+  const auto g =
+      graph::build_inference_graph(detect::original_sppnet(), 64);
+  const auto spec = simgpu::a5500_spec();
+  const std::string gantt =
+      ios::render_gantt(g, spec, ios::sequential_schedule(g));
+  EXPECT_NE(gantt.find("stream 0"), std::string::npos);
+  EXPECT_EQ(gantt.find("stream 1"), std::string::npos);
+}
+
+TEST(Gantt, RejectsSillyWidth) {
+  const auto g =
+      graph::build_inference_graph(detect::original_sppnet(), 64);
+  const auto spec = simgpu::a5500_spec();
+  ios::GanttOptions options;
+  options.width = 5;
+  EXPECT_THROW(
+      ios::render_gantt(g, spec, ios::sequential_schedule(g), options),
+      Error);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "tensor/kernels/tuner.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/quantize.hpp"
-#include "tensor/reduce.hpp"
 #include "tensor/workspace.hpp"
 
 namespace dcn {
@@ -111,8 +110,6 @@ TEST_F(KernelsTest, EveryVariantRegistersCompleteKernelSet) {
     EXPECT_NE(v->quantize_u8, nullptr) << name;
     EXPECT_NE(v->quantize_s8, nullptr) << name;
     EXPECT_NE(v->dequantize_u8, nullptr) << name;
-    EXPECT_NE(v->reduce_max, nullptr) << name;
-    EXPECT_NE(v->reduce_min, nullptr) << name;
     for (const auto& k : v->sgemm) {
       EXPECT_GE(k.mr, 1);
       EXPECT_LE(k.mr, kernels::kMaxMr);
@@ -481,35 +478,6 @@ TEST_F(KernelsTest, QuantizeEveryVariantBitExactIncludingTieEdges) {
     EXPECT_EQ(0, std::memcmp(deq_ref.data(), deq.data(),
                              deq.size() * sizeof(float)))
         << name;
-  }
-}
-
-TEST_F(KernelsTest, ReduceEveryVariantMatchesScalar) {
-  KernelRegistry& reg = KernelRegistry::global();
-  Rng rng(202);
-  Tensor t(Shape{517});
-  t.fill_normal(rng, 0.0f, 3.0f);
-  t[13] = 1.0e9f;
-  t[499] = -1.0e9f;
-  float mx_ref = 0.0f, mn_ref = 0.0f;
-  std::int64_t idx_ref = 0;
-  {
-    KernelRegistry::ScopedForce force("generic");
-    ASSERT_TRUE(force.ok());
-    mx_ref = max_value(t);
-    mn_ref = min_value(t);
-    idx_ref = argmax(t).second;
-  }
-  EXPECT_EQ(mx_ref, 1.0e9f);
-  EXPECT_EQ(mn_ref, -1.0e9f);
-  EXPECT_EQ(idx_ref, 13);
-  for (const auto& name : reg.variant_names()) {
-    if (!reg.variant_supported(name)) continue;
-    KernelRegistry::ScopedForce force(name);
-    ASSERT_TRUE(force.ok());
-    EXPECT_EQ(max_value(t), mx_ref) << name;
-    EXPECT_EQ(min_value(t), mn_ref) << name;
-    EXPECT_EQ(argmax(t).second, idx_ref) << name;
   }
 }
 

@@ -1,6 +1,9 @@
 // Forward-pass tests for nn layers (backward is covered by test_gradcheck).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "nn/activations.hpp"
@@ -173,6 +176,34 @@ TEST(Flatten, RoundTrip) {
   EXPECT_EQ(back.shape(), x.shape());
 }
 
+TEST(ReLU, ReluClampsNegatives) {
+  Tensor a(Shape{4});
+  a[0] = -1.0f;
+  a[1] = 0.0f;
+  a[2] = 2.0f;
+  a[3] = -0.5f;
+  ReLU relu;
+  const Tensor r = relu.forward(a);
+  EXPECT_EQ(r[0], 0.0f);
+  EXPECT_EQ(r[1], 0.0f);
+  EXPECT_EQ(r[2], 2.0f);
+  EXPECT_EQ(r[3], 0.0f);
+}
+
+TEST(ReLU, ReluBackwardMasksByInputSign) {
+  Tensor a(Shape{3});
+  a[0] = -1.0f;
+  a[1] = 1.0f;
+  a[2] = 0.0f;
+  ReLU relu;
+  (void)relu.forward(a);
+  const Tensor out = relu.backward(Tensor(Shape{3}, 5.0f));
+  EXPECT_EQ(out[0], 0.0f);
+  EXPECT_EQ(out[1], 5.0f);
+  EXPECT_EQ(out[2], 0.0f);  // subgradient 0 at the kink
+  EXPECT_THROW(relu.backward(Tensor(Shape{4})), Error);
+}
+
 TEST(Linear, KnownValues) {
   Rng rng(1);
   Linear linear(2, 2, rng);
@@ -260,38 +291,71 @@ TEST(Sequential, ComposesAndCollectsParameters) {
 }
 
 TEST(Sequential, TrainingFlagPropagates) {
-  Rng rng(1);
   Sequential net;
-  auto& dropout = net.emplace<Dropout>(0.5, rng);
+  auto& relu = net.emplace<ReLU>();
   net.set_training(false);
-  EXPECT_FALSE(dropout.is_training());
+  EXPECT_FALSE(relu.is_training());
   net.set_training(true);
-  EXPECT_TRUE(dropout.is_training());
+  EXPECT_TRUE(relu.is_training());
 }
+// ---- Parameterized property sweeps ----
 
-TEST(Dropout, EvalModeIsIdentity) {
-  Rng rng(1);
-  Dropout dropout(0.5, rng);
-  dropout.set_training(false);
-  Tensor x(Shape{100}, 2.0f);
-  const Tensor y = dropout.forward(x);
-  for (std::int64_t i = 0; i < 100; ++i) EXPECT_EQ(y[i], 2.0f);
-}
+// SPP output-size law: output features = C * sum(l^2) for every input size.
+using SppCase = std::tuple<int, int, int>;  // first level, channels, size
 
-TEST(Dropout, TrainingModePreservesExpectation) {
-  Rng rng(2);
-  Dropout dropout(0.25, rng);
-  Tensor x(Shape{20000}, 1.0f);
-  const Tensor y = dropout.forward(x);
-  double sum = 0.0;
-  std::int64_t zeros = 0;
+class SppOutputLaw : public testing::TestWithParam<SppCase> {};
+
+TEST_P(SppOutputLaw, FixedLengthForAnyInput) {
+  const auto [first, channels, size] = GetParam();
+  SpatialPyramidPool spp(spp_levels_from_first(first));
+  Rng rng(static_cast<std::uint64_t>(first * 100 + channels + size));
+  Tensor x(Shape{2, channels, size, size});
+  x.fill_uniform(rng, 0.0f, 1.0f);
+  const Tensor y = spp.forward(x);
+  std::int64_t cells = 0;
+  for (std::int64_t l : spp.levels()) cells += l * l;
+  EXPECT_EQ(y.shape(), Shape({2, channels * cells}));
+  // Values are maxima of the input: bounded by the input range.
   for (std::int64_t i = 0; i < y.numel(); ++i) {
-    sum += y[i];
-    zeros += y[i] == 0.0f ? 1 : 0;
+    EXPECT_GE(y[i], 0.0f);
+    EXPECT_LE(y[i], 1.0f);
   }
-  EXPECT_NEAR(sum / y.numel(), 1.0, 0.03);  // inverted scaling
-  EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.25, 0.02);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SppOutputLaw,
+    testing::Combine(testing::Values(1, 2, 3, 4, 5),
+                     testing::Values(1, 8),
+                     testing::Values(5, 12, 25)));
+
+// Adaptive-pool coverage law: the max over all bins equals the global max.
+class AdaptiveCoverageLaw : public testing::TestWithParam<std::tuple<int, int>> {
+};
+
+TEST_P(AdaptiveCoverageLaw, BinsNeverMissTheGlobalMax) {
+  const auto [out, in] = GetParam();
+  if (out > in) GTEST_SKIP() << "upsampling case covered elsewhere";
+  AdaptiveMaxPool2d pool(out, out);
+  Rng rng(static_cast<std::uint64_t>(out * 1000 + in));
+  Tensor x(Shape{1, 3, in, in});
+  x.fill_normal(rng, 0.0f, 1.0f);
+  const Tensor y = pool.forward(x);
+  for (std::int64_t c = 0; c < 3; ++c) {
+    float global_max = -1e30f;
+    for (std::int64_t i = 0; i < in * in; ++i) {
+      global_max = std::max(global_max, x[c * in * in + i]);
+    }
+    float bin_max = -1e30f;
+    for (std::int64_t i = 0; i < out * out; ++i) {
+      bin_max = std::max(bin_max, y[c * out * out + i]);
+    }
+    EXPECT_FLOAT_EQ(bin_max, global_max) << "channel " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, AdaptiveCoverageLaw,
+                         testing::Combine(testing::Values(1, 2, 3, 4, 5, 7),
+                                          testing::Values(5, 9, 12, 25)));
 
 }  // namespace
 }  // namespace dcn

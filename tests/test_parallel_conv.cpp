@@ -234,13 +234,14 @@ TEST_F(ParallelTrainingTest, OneEpochWeightsBitIdenticalAcrossJobs) {
     return weights;
   };
 
+  const int threads_before = compute_threads();
   const auto serial = train_weights(1);
   const auto parallel = train_weights(4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(bit_identical(serial[i], parallel[i])) << "parameter " << i;
   }
-  EXPECT_GE(hardware_threads(), 1);  // jobs setting restored by the trainer
+  EXPECT_EQ(compute_threads(), threads_before);  // restored by the trainer
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 // Tests for the nsys-like profiler: recorder and aggregate reports.
 #include <gtest/gtest.h>
 
+#include "detect/sppnet_config.hpp"
+#include "graph/builder.hpp"
+#include "ios/executor.hpp"
+#include "ios/scheduler.hpp"
 #include "profiler/report.hpp"
+#include "profiler/trace.hpp"
+#include "simgpu/device.hpp"
 
 namespace dcn::profiler {
 namespace {
@@ -28,7 +34,9 @@ TEST(ApiUsage, SharesSumToOneAndSortDescending) {
   double total_share = 0.0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     total_share += rows[i].share;
-    if (i > 0) EXPECT_LE(rows[i].total_seconds, rows[i - 1].total_seconds);
+    if (i > 0) {
+      EXPECT_LE(rows[i].total_seconds, rows[i - 1].total_seconds);
+    }
   }
   EXPECT_NEAR(total_share, 1.0, 1e-9);
   EXPECT_EQ(rows.front().kind, ApiKind::kLibraryLoadData);
@@ -37,7 +45,9 @@ TEST(ApiUsage, SharesSumToOneAndSortDescending) {
 TEST(ApiUsage, CallCountsAggregated) {
   const auto rows = api_usage(sample_recorder());
   for (const ApiUsageRow& row : rows) {
-    if (row.kind == ApiKind::kLaunchKernel) EXPECT_EQ(row.calls, 2);
+    if (row.kind == ApiKind::kLaunchKernel) {
+      EXPECT_EQ(row.calls, 2);
+    }
   }
 }
 
@@ -128,6 +138,46 @@ TEST(EmptyRecorder, ReportsAreWellDefined) {
   EXPECT_EQ(kernel_share(recorder, KernelCategory::kConv), 0.0);
   const std::string report = render_report(recorder);
   EXPECT_NE(report.find("CUDA API Statistics"), std::string::npos);
+}
+
+TEST(ChromeTrace, ContainsAllSpanRows) {
+  profiler::Recorder recorder;
+  recorder.record_api(profiler::ApiKind::kLaunchKernel, "conv0", 0.0, 3e-6);
+  recorder.record_kernel(profiler::KernelCategory::kConv, "conv0", 1e-6,
+                         4e-5, 8);
+  recorder.record_memop(profiler::MemopKind::kH2D, "input", 0.0, 2e-5, 1024);
+  const std::string trace = profiler::to_chrome_trace(recorder);
+  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(trace.find("cudaLaunchKernel"), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\": \"kernel\""), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\": \"memop\""), std::string::npos);
+  EXPECT_NE(trace.find("\"batch\": 8"), std::string::npos);
+  EXPECT_NE(trace.find("\"bytes\": 1024"), std::string::npos);
+}
+
+TEST(ChromeTrace, EscapesAndWrites) {
+  profiler::Recorder recorder;
+  recorder.record_api(profiler::ApiKind::kMemAlloc, "we\"ird\nname", 0.0,
+                      1e-6);
+  const std::string trace = profiler::to_chrome_trace(recorder);
+  EXPECT_NE(trace.find("we\\\"ird\\nname"), std::string::npos);
+  const std::string path = testing::TempDir() + "/dcn_trace.json";
+  profiler::write_chrome_trace(recorder, path);
+  SUCCEED();
+}
+
+TEST(ChromeTrace, FullSimulatedSessionExports) {
+  const auto spec = simgpu::a5500_spec();
+  const graph::Graph g =
+      graph::build_inference_graph(detect::original_sppnet(), 64);
+  profiler::Recorder recorder;
+  simgpu::Device device(spec, &recorder);
+  ios::InferenceSession session(g, ios::optimize_schedule(g, spec), device);
+  session.initialize();
+  (void)session.run(4);
+  const std::string trace = profiler::to_chrome_trace(recorder);
+  EXPECT_NE(trace.find("cuLibraryLoadData"), std::string::npos);
+  EXPECT_NE(trace.find("spp_pool"), std::string::npos);
 }
 
 }  // namespace
