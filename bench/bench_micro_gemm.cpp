@@ -16,6 +16,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/registry.hpp"
 #include "tensor/kernels/tuner.hpp"
+#include "tensor/qgemm.hpp"
 
 namespace {
 
@@ -33,13 +34,6 @@ void add_gflops(benchmark::State& state, std::int64_t m, std::int64_t n,
       2.0 * m * n * k, benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
 }
-
-// Pins the engine thread count for one benchmark run, restoring the
-// process-wide default afterwards so later benches are unaffected.
-struct ThreadGuard {
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
-};
 
 void BM_GemmBlocked(benchmark::State& state) {
   const std::int64_t m = state.range(0);
@@ -101,7 +95,7 @@ void BM_GemmThreads(benchmark::State& state) {
   const std::int64_t m = state.range(0);
   const std::int64_t n = state.range(1);
   const std::int64_t k = state.range(2);
-  ThreadGuard guard(static_cast<int>(state.range(3)));
+  ScopedNumThreads guard(static_cast<int>(state.range(3)));
   Rng rng(1);
   const auto a = random_matrix(m * k, rng);
   const auto b = random_matrix(k * n, rng);
@@ -212,7 +206,12 @@ void BM_GemmTransposedB(benchmark::State& state) {
   add_gflops(state, batch, out, in);
 }
 
-BENCHMARK(BM_GemmTransposedB)->Arg(1)->Arg(20)->Unit(benchmark::kMillisecond);
+// Arg(5): the cascade scan's SPP-Net #2 batch of survivors through FC1.
+BENCHMARK(BM_GemmTransposedB)
+    ->Arg(1)
+    ->Arg(5)
+    ->Arg(20)
+    ->Unit(benchmark::kMillisecond);
 
 // Per-variant A/B: the same blocked driver forced onto each compiled-in
 // SIMD variant (generic / sse41 / avx2 / avx512). Variants the executing
@@ -236,6 +235,40 @@ void run_variant_bench(benchmark::State& state, const std::string& name,
   matmul(false, false, m, n, k, a.data(), b.data(), c.data());
   for (auto _ : state) {
     matmul(false, false, m, n, k, a.data(), b.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  add_gflops(state, m, n, k);
+}
+
+// Per-variant int8 conv lowering: qgemm of an [m, k] s8 filter matrix by a
+// [k, n] u8 im2col panel, at one thread, so the u8 -> s32 widening of each
+// variant's row kernel is what the numbers compare.
+void run_qgemm_variant_bench(benchmark::State& state, const std::string& name,
+                             std::int64_t m, std::int64_t n, std::int64_t k) {
+  auto& registry = kernels::KernelRegistry::global();
+  if (!registry.variant_supported(name)) {
+    state.SkipWithError(("variant not supported on this CPU: " + name).c_str());
+    return;
+  }
+  kernels::KernelRegistry::ScopedForce force(name);
+  ScopedNumThreads guard(1);
+  Rng rng(1);
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+  std::vector<std::uint8_t> b(static_cast<std::size_t>(k * n));
+  for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+  for (auto& v : b) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const std::vector<float> scales(static_cast<std::size_t>(m), 0.01f);
+  QuantParams b_params;
+  b_params.scale = 0.02f;
+  b_params.zero_point = 128;
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  const auto run = [&] {
+    qgemm(m, n, k, a.data(), k, scales.data(), m, b.data(), n, b_params,
+          c.data(), n);
+  };
+  run();  // absorbs any cold autotuning
+  for (auto _ : state) {
+    run();
     benchmark::DoNotOptimize(c.data());
   }
   add_gflops(state, m, n, k);
@@ -275,6 +308,23 @@ int register_kernel_benches() {
             run_variant_bench(state, name, shape[0], shape[1], shape[2]);
           })
           ->Unit(benchmark::kMillisecond);
+    }
+  }
+  // The scan screener's conv lowerings: conv0 (8 filters of 4x3x3 over a
+  // 24x24 output) and conv1 (16 filters of 8x3x3 over 12x12).
+  for (const auto& name : registry.variant_names()) {
+    for (const auto& shape : {std::array<std::int64_t, 3>{8, 576, 36},
+                              std::array<std::int64_t, 3>{16, 144, 72}}) {
+      const std::string bench_name =
+          "BM_QgemmVariant/" + name + "/" + std::to_string(shape[0]) + "x" +
+          std::to_string(shape[1]) + "x" + std::to_string(shape[2]);
+      benchmark::RegisterBenchmark(
+          bench_name.c_str(),
+          [name, shape](benchmark::State& state) {
+            run_qgemm_variant_bench(state, name, shape[0], shape[1],
+                                    shape[2]);
+          })
+          ->Unit(benchmark::kMicrosecond);
     }
   }
   const auto& active = registry.active();

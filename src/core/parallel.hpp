@@ -32,6 +32,24 @@ namespace dcn {
 /// with.
 int set_num_threads(int n);
 
+/// Pins the compute pool's thread count to `n` for a scope and restores the
+/// previous setting when the scope ends, also by an exception. n < 1 pins
+/// nothing (the setting stays as it is).
+class ScopedNumThreads {
+ public:
+  explicit ScopedNumThreads(int n)
+      : pinned_(n >= 1), previous_(pinned_ ? set_num_threads(n) : 0) {}
+  ~ScopedNumThreads() {
+    if (pinned_) set_num_threads(previous_);
+  }
+  ScopedNumThreads(const ScopedNumThreads&) = delete;
+  ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
+
+ private:
+  bool pinned_;
+  int previous_;
+};
+
 /// Number of threads the tensor-engine compute pool targets: the
 /// set_num_threads() override when present, else the hardware concurrency.
 int compute_threads();

@@ -48,10 +48,10 @@ TrainHistory train_detector(Module& model, const geo::DrainageDataset& dataset,
       << split.test.size() << ")";
 
   // Optionally pin the tensor engine's thread count for this run. The
-  // previous setting is restored on exit; weights do not depend on the
-  // setting (the engine's decompositions are thread-count invariant).
-  const int previous_threads =
-      config.jobs > 0 ? set_num_threads(config.jobs) : 0;
+  // previous setting is restored on exit, also when training throws;
+  // weights do not depend on the setting (the engine's decompositions are
+  // thread-count invariant).
+  const ScopedNumThreads threads(config.jobs);
 
   Sgd optimizer(model.parameters(), config.sgd);
   Rng shuffle_rng(config.shuffle_seed);
@@ -116,7 +116,6 @@ TrainHistory train_detector(Module& model, const geo::DrainageDataset& dataset,
                  << ", accuracy " << history.final_eval.accuracy
                  << ", mean IoU " << history.final_eval.mean_iou;
   }
-  if (config.jobs > 0) set_num_threads(previous_threads);
   return history;
 }
 

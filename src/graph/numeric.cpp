@@ -179,7 +179,7 @@ WeightMap extract_weights(detect::SppNet& net) {
   for (std::size_t i = 0; i < trunk.size(); ++i) {
     if (auto* conv = dynamic_cast<Conv2d*>(&trunk.layer(i))) {
       map.emplace("conv" + std::to_string(conv_index),
-                  OpWeights{conv->weight(), conv->bias()});
+                  OpWeights{&conv->weight(), conv->bias()});
       ++conv_index;
     }
   }
@@ -194,7 +194,7 @@ WeightMap extract_weights(detect::SppNet& net) {
   for (std::size_t i = 0; i < linears.size(); ++i) {
     const std::string name =
         i + 1 == linears.size() ? "head" : "fc" + std::to_string(i);
-    map.emplace(name, OpWeights{linears[i]->weight(), linears[i]->bias()});
+    map.emplace(name, OpWeights{&linears[i]->weight(), linears[i]->bias()});
   }
   return map;
 }
@@ -218,11 +218,11 @@ NumericExecutor::NumericExecutor(const Graph& graph, WeightMap weights)
         throw ConfigError("NumericExecutor: no weights bound for conv op '" +
                           node.name + "'");
       }
-      const Tensor& w = it->second.weight;
+      const Tensor* w = it->second.weight;
       const TensorDesc in = graph_.input_desc(node.id);
-      if (w.rank() != 4 || w.dim(0) != node.attrs.out_channels ||
-          w.dim(1) != in.dims[0] || w.dim(2) != node.attrs.kernel ||
-          w.dim(3) != node.attrs.kernel ||
+      if (w == nullptr || w->rank() != 4 ||
+          w->dim(0) != node.attrs.out_channels || w->dim(1) != in.dims[0] ||
+          w->dim(2) != node.attrs.kernel || w->dim(3) != node.attrs.kernel ||
           it->second.bias.numel() != node.attrs.out_channels) {
         throw ConfigError("NumericExecutor: weight shape mismatch for conv "
                           "op '" + node.name + "'");
@@ -233,9 +233,10 @@ NumericExecutor::NumericExecutor(const Graph& graph, WeightMap weights)
         throw ConfigError("NumericExecutor: no weights bound for linear op '" +
                           node.name + "'");
       }
-      const Tensor& w = it->second.weight;
-      if (w.rank() != 2 || w.dim(0) != node.attrs.out_features ||
-          w.dim(1) != graph_.input_desc(node.id).numel() ||
+      const Tensor* w = it->second.weight;
+      if (w == nullptr || w->rank() != 2 ||
+          w->dim(0) != node.attrs.out_features ||
+          w->dim(1) != graph_.input_desc(node.id).numel() ||
           it->second.bias.numel() != node.attrs.out_features) {
         throw ConfigError("NumericExecutor: weight shape mismatch for linear "
                           "op '" + node.name + "'");
@@ -295,7 +296,7 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
                                       q.input_params, fused);
         } else {
           const OpWeights& w = weights_.at(node.name);
-          values[idx] = run_conv_fp32(node, x, w.weight, w.bias, fused);
+          values[idx] = run_conv_fp32(node, x, *w.weight, w.bias, fused);
         }
         break;
       }
@@ -318,7 +319,7 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
                                         q.input_params, fused);
         } else {
           const OpWeights& w = weights_.at(node.name);
-          values[idx] = run_linear_fp32(x, w.weight, w.bias, fused);
+          values[idx] = run_linear_fp32(x, *w.weight, w.bias, fused);
         }
         break;
       }
@@ -405,15 +406,15 @@ void NumericExecutor::quantize(const Tensor& calibration,
     if (!is_conv_kind(node.kind) && !is_linear_kind(node.kind)) continue;
     OpWeights& w = weights_.at(node.name);
     QuantOp q;
-    const std::int64_t rows = w.weight.dim(0);
-    q.weights = quantize_weights_per_channel(w.weight.data(), rows,
-                                             w.weight.numel() / rows);
+    const std::int64_t rows = w.weight->dim(0);
+    q.weights = quantize_weights_per_channel(w.weight->data(), rows,
+                                             w.weight->numel() / rows);
     q.input_params =
         observers[static_cast<std::size_t>(node.id)].quant_params(options);
     quant_[static_cast<std::size_t>(node.id)] = std::move(q);
-    // int8 inference reads only the bias; the fp32 weights are 4x the
-    // int8 copy (127 MB for SPP-Net #2), so a deployed model drops them.
-    w.weight = Tensor();
+    // int8 inference reads only the bias and the int8 copy, so a deployed
+    // model drops the borrowed fp32 weight and outlives its source net.
+    w.weight = nullptr;
   }
   quantized_ = true;
 }

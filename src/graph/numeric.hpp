@@ -33,18 +33,23 @@
 
 namespace dcn::graph {
 
-/// Learnable parameters of one compute op.
+/// Learnable parameters of one compute op. The weight is borrowed: the
+/// tensor it points to must stay alive and unchanged while an executor
+/// bound to it runs fp32 or calibrates (quantize() drops the pointer). The
+/// bias is a copy, since int8 inference still reads it.
 struct OpWeights {
-  Tensor weight;  // conv: [out_c, in_c, k, k]; linear: [out, in]
-  Tensor bias;    // [out_c] / [out]
+  const Tensor* weight = nullptr;  // conv: [out_c, in_c, k, k];
+                                   // linear: [out, in]
+  Tensor bias;                     // [out_c] / [out]
 };
 
 /// Op name -> parameters.
 using WeightMap = std::unordered_map<std::string, OpWeights>;
 
-/// Copy a trained SPP-Net's weights out under the graph builder's op names
-/// (conv0, conv1, ..., fc0, ..., head). The returned map binds to the naive
-/// inference graph and to any pass-optimized graph derived from it.
+/// Bind a trained SPP-Net's parameters under the graph builder's op names
+/// (conv0, conv1, ..., fc0, ..., head): the weights are borrowed from `net`
+/// in place, the biases copied (OpWeights). The returned map binds to the
+/// naive inference graph and to any pass-optimized graph derived from it.
 WeightMap extract_weights(detect::SppNet& net);
 
 class NumericExecutor {
@@ -63,9 +68,9 @@ class NumericExecutor {
 
   /// Calibrate activation ranges with an fp32 walk of `calibration` (each
   /// conv/linear observes the float tensor feeding it) and freeze
-  /// conv/linear weights to symmetric per-channel int8, releasing the fp32
-  /// weights: the executor is int8-only afterwards. Throws ConfigError when
-  /// already quantized.
+  /// conv/linear weights to symmetric per-channel int8, dropping the
+  /// borrowed fp32 weights: the executor is int8-only afterwards. Throws
+  /// ConfigError when already quantized.
   void quantize(const Tensor& calibration,
                 const detect::CalibrationOptions& options = {});
   bool quantized() const { return quantized_; }
@@ -102,7 +107,8 @@ class NumericExecutor {
 /// [N,5] raw head outputs (SppNet::forward's eval contract), bit-identical
 /// across thread counts and runs; other tile sizes throw ShapeError.
 /// backward throws: the model is frozen. `net` is only read during the
-/// call. Throws ConfigError unless `calibration` is a non-empty square NCHW
+/// call: its weights are read in place, only its biases are copied.
+/// Throws ConfigError unless `calibration` is a non-empty square NCHW
 /// batch.
 std::unique_ptr<Module> quantize_sppnet(
     detect::SppNet& net, const Tensor& calibration,

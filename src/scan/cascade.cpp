@@ -108,7 +108,7 @@ ScanResult scan_watershed(const geo::Orthophoto& photo,
                           Module& screener, Module& full,
                           const CascadeOptions& options) {
   DCN_CHECK(options.batch_size > 0) << "batch size " << options.batch_size;
-  if (options.jobs >= 1) set_num_threads(options.jobs);
+  const ScopedNumThreads threads(options.jobs);
   screener.set_training(false);
   full.set_training(false);
 

@@ -129,6 +129,20 @@ void pack_b(const float* b, std::int64_t ldb, bool trans, std::int64_t k0,
         src += ldb;
         packed += nr;
       }
+    } else if (jb == nr && trans && nr % 8 == 0) {
+      // op(B) transposed (nn::Linear's x * W^T): each packed column is a
+      // stored row of B, contiguous along K. Transposing eight stored rows
+      // at a time keeps eight sequential read streams instead of nr
+      // ldb-strided ones per packed row.
+      for (std::int64_t jj = 0; jj < nr; jj += 8) {
+        const float* rows = b + (n0 + j + jj) * ldb + k0;
+        float* __restrict dst = packed + jj;
+        for (std::int64_t p = 0; p < kb; ++p) {
+          for (std::int64_t r = 0; r < 8; ++r) dst[r] = rows[r * ldb + p];
+          dst += nr;
+        }
+      }
+      packed += kb * nr;
     } else {
       for (std::int64_t p = 0; p < kb; ++p) {
         for (std::int64_t jj = 0; jj < nr; ++jj) {

@@ -60,10 +60,6 @@ using AccumulateFn = void (*)(std::int64_t n, const float* src, float* dst);
 using QuantizeU8Fn = void (*)(const float* src, std::int64_t n,
                               float inv_scale, float zp, std::uint8_t* dst);
 
-/// dst[i] = scale * (float(src[i]) - zp). Elementwise: exact at any width.
-using DequantizeU8Fn = void (*)(const std::uint8_t* src, std::int64_t n,
-                                float scale, float zp, float* dst);
-
 /// Symmetric int8 quantization: dst[i] = clamp(round_away(src[i] *
 /// inv_scale), -127, 127).
 using QuantizeS8Fn = void (*)(const float* src, std::int64_t n,
@@ -83,7 +79,6 @@ struct KernelVariant {
   QgemmRowFn qgemm_row = nullptr;
   AccumulateFn accumulate = nullptr;
   QuantizeU8Fn quantize_u8 = nullptr;
-  DequantizeU8Fn dequantize_u8 = nullptr;
   QuantizeS8Fn quantize_s8 = nullptr;
 
   /// The tile used when tuning is disabled (first registered entry).

@@ -39,6 +39,24 @@ std::int64_t class_of(std::int64_t d) {
   return c;
 }
 
+// class_of(d) as one byte: the exact value up to 16, else 16 + log2 of the
+// power of two (at most 16 + 63).
+std::uint32_t class_code(std::int64_t d) {
+  const std::int64_t c = class_of(d);
+  if (c <= 16) return static_cast<std::uint32_t>(c);
+  std::uint32_t log2 = 0;
+  while ((std::int64_t{1} << log2) < c) ++log2;
+  return 16 + log2;
+}
+
+// The (precision, m/n/k class) part of cache_key, packed one byte each.
+std::uint32_t shape_code(char precision, std::int64_t m, std::int64_t n,
+                         std::int64_t k) {
+  return static_cast<std::uint32_t>(static_cast<unsigned char>(precision))
+             << 24 |
+         class_code(m) << 16 | class_code(n) << 8 | class_code(k);
+}
+
 std::uint64_t fnv1a64(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
   for (const char ch : s) {
@@ -176,6 +194,7 @@ std::string TileTuner::entry_path(const std::string& key) {
 TileConfig TileTuner::choose(const KernelVariant& variant, char precision,
                              std::int64_t m, std::int64_t n, std::int64_t k,
                              const MeasureFn& measure) {
+  const MemoKey memo_key{&variant, shape_code(precision, m, n, k)};
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!enabled_) return default_config(variant, precision);
@@ -191,11 +210,7 @@ TileConfig TileTuner::choose(const KernelVariant& variant, char precision,
         return c;
       }
     }
-  }
-  const std::string key = cache_key(variant, precision, m, n, k);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = memo_.find(key);
+    const auto it = memo_.find(memo_key);
     if (it != memo_.end()) {
       ++stats_.memo_hits;
       profiler::counter_add("tuner_cache.hit");
@@ -205,19 +220,18 @@ TileConfig TileTuner::choose(const KernelVariant& variant, char precision,
   }
   profiler::counter_add("tuner_cache.miss");
 
+  const std::string key = cache_key(variant, precision, m, n, k);
   TileConfig config;
-  if (load_entry(key, variant, precision, &config)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    memo_.emplace(key, config);
-    return config;
+  if (!load_entry(key, variant, precision, &config)) {
+    config = tune(key, variant, precision, m, n, k, measure);
   }
-  config = tune(variant, precision, m, n, k, measure);
   std::lock_guard<std::mutex> lock(mutex_);
-  memo_.emplace(key, config);
+  memo_.emplace(memo_key, config);
   return config;
 }
 
-TileConfig TileTuner::tune(const KernelVariant& variant, char precision,
+TileConfig TileTuner::tune(const std::string& key,
+                           const KernelVariant& variant, char precision,
                            std::int64_t m, std::int64_t n, std::int64_t k,
                            const MeasureFn& measure) {
   const std::vector<TileConfig> cands = candidates(variant, precision);
@@ -252,7 +266,7 @@ TileConfig TileTuner::tune(const KernelVariant& variant, char precision,
                 << 'x' << n << 'x' << k << " -> " << best.mr << 'x' << best.nr
                 << " blocks " << best.mc << 'x' << best.nc << " ("
                 << best_ms << " ms)";
-  store_entry(cache_key(variant, precision, m, n, k), best, best_ms);
+  store_entry(key, best, best_ms);
   return best;
 }
 

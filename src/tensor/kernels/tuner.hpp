@@ -67,6 +67,12 @@ class TileTuner {
   /// variant's default tile is always candidate #0, so the winner is never
   /// measured slower than the default). When tuning is disabled the
   /// variant default is returned and nothing is counted or stored.
+  ///
+  /// A memo hit takes the tuner's lock once and builds no string: the memo
+  /// is keyed by the variant's address plus the packed precision and shape
+  /// classes, so `variant` must live as long as the process (registry
+  /// variants do). The canonical string key is built only on a miss, for
+  /// the disk tier.
   TileConfig choose(const KernelVariant& variant, char precision,
                     std::int64_t m, std::int64_t n, std::int64_t k,
                     const MeasureFn& measure);
@@ -109,18 +115,34 @@ class TileTuner {
 
  private:
   TileTuner();
-  TileConfig tune(const KernelVariant& variant, char precision,
-                  std::int64_t m, std::int64_t n, std::int64_t k,
-                  const MeasureFn& measure);
+  TileConfig tune(const std::string& key, const KernelVariant& variant,
+                  char precision, std::int64_t m, std::int64_t n,
+                  std::int64_t k, const MeasureFn& measure);
   bool load_entry(const std::string& key, const KernelVariant& variant,
                   char precision, TileConfig* config);
   void store_entry(const std::string& key, const TileConfig& config,
                    double best_ms);
 
+  /// In-memory memo key: a registered variant and the packed
+  /// (precision, m/n/k class) tuple that its cache_key spells out.
+  struct MemoKey {
+    const KernelVariant* variant;
+    std::uint32_t shape;
+    bool operator==(const MemoKey& o) const {
+      return variant == o.variant && shape == o.shape;
+    }
+  };
+  struct MemoKeyHash {
+    std::size_t operator()(const MemoKey& key) const {
+      return std::hash<const void*>{}(key.variant) ^
+             (static_cast<std::size_t>(key.shape) * 0x9e3779b97f4a7c15ull);
+    }
+  };
+
   std::mutex mutex_;
   bool enabled_ = true;
   std::string dir_;
-  std::unordered_map<std::string, TileConfig> memo_;
+  std::unordered_map<MemoKey, TileConfig, MemoKeyHash> memo_;
   TunerStats stats_;
   std::int64_t forced_mr_ = 0;
   std::int64_t forced_nr_ = 0;

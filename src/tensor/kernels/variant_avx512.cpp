@@ -34,7 +34,6 @@ KernelVariant make_avx512_variant() {
   v.accumulate = &accumulate_vec<W>;
   v.quantize_u8 = &quantize_u8_vec<W>;
   v.quantize_s8 = &quantize_s8_vec<W>;
-  v.dequantize_u8 = &dequantize_u8_vec<W>;
   return v;
 }
 

@@ -27,13 +27,6 @@ void quantize_s8_scalar(const float* src, std::int64_t n, float inv_scale,
   }
 }
 
-void dequantize_u8_scalar(const std::uint8_t* src, std::int64_t n,
-                          float scale, float zp, float* dst) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    dst[i] = scale * (static_cast<float>(src[i]) - zp);
-  }
-}
-
 }  // namespace
 
 KernelVariant make_generic_variant() {
@@ -52,7 +45,6 @@ KernelVariant make_generic_variant() {
   v.accumulate = &accumulate_scalar;
   v.quantize_u8 = &quantize_u8_scalar;
   v.quantize_s8 = &quantize_s8_scalar;
-  v.dequantize_u8 = &dequantize_u8_scalar;
   return v;
 }
 

@@ -25,8 +25,15 @@ namespace dcn::kernels {
 // depends on a template parameter (the typedef silently collapses to the
 // scalar), so the widths are enumerated as explicit specializations with
 // literal sizes; the kernel templates below pull their types from V<W>.
-// aligned(4)/aligned(1) keeps loads alignment-tolerant — packed panels only
-// guarantee element alignment at tile edges.
+// aligned(4)/aligned(2)/aligned(1) keeps loads alignment-tolerant — packed
+// panels only guarantee element alignment at tile edges.
+//
+// Integer width changes go through the u16 vector vh, one doubling or
+// halving per __builtin_convertvector: gcc 12 lowers a direct u8 <-> s32
+// conversion lane by lane (movzbl / pinsrd / pextrb per element) but
+// turns each single step into pmovzx / pack / vpmov instructions. Every
+// value converted is already within [0, 255] (or a clamped s8 whose bytes
+// are the same as its u8 image), so the detour is exact.
 template <int W>
 struct V;
 template <>
@@ -34,6 +41,8 @@ struct V<4> {
   typedef float vf __attribute__((vector_size(16), may_alias, aligned(4)));
   typedef std::int32_t vi
       __attribute__((vector_size(16), may_alias, aligned(4)));
+  typedef std::uint16_t vh
+      __attribute__((vector_size(8), may_alias, aligned(2)));
   typedef std::uint8_t vb
       __attribute__((vector_size(4), may_alias, aligned(1)));
 };
@@ -42,6 +51,8 @@ struct V<8> {
   typedef float vf __attribute__((vector_size(32), may_alias, aligned(4)));
   typedef std::int32_t vi
       __attribute__((vector_size(32), may_alias, aligned(4)));
+  typedef std::uint16_t vh
+      __attribute__((vector_size(16), may_alias, aligned(2)));
   typedef std::uint8_t vb
       __attribute__((vector_size(8), may_alias, aligned(1)));
 };
@@ -50,6 +61,8 @@ struct V<16> {
   typedef float vf __attribute__((vector_size(64), may_alias, aligned(4)));
   typedef std::int32_t vi
       __attribute__((vector_size(64), may_alias, aligned(4)));
+  typedef std::uint16_t vh
+      __attribute__((vector_size(32), may_alias, aligned(2)));
   typedef std::uint8_t vb
       __attribute__((vector_size(16), may_alias, aligned(1)));
 };
@@ -107,6 +120,23 @@ void sgemm_micro_vec(std::int64_t kb, const float* __restrict pa,
 
 // ---------------------------------------------------------------- qgemm ---
 
+/// u8 lanes widened to s32 through u16 (see V above).
+template <int W>
+typename V<W>::vi widen_u8(typename V<W>::vb bytes) {
+  typedef typename V<W>::vh vh;
+  typedef typename V<W>::vi vi;
+  return __builtin_convertvector(__builtin_convertvector(bytes, vh), vi);
+}
+
+/// s32 lanes already clamped to [0, 255] or [-127, 127], narrowed to their
+/// low byte through u16 (see V above).
+template <int W>
+typename V<W>::vb narrow_to_bytes(typename V<W>::vi r) {
+  typedef typename V<W>::vh vh;
+  typedef typename V<W>::vb vb;
+  return __builtin_convertvector(__builtin_convertvector(r, vh), vb);
+}
+
 /// acc[j] += av * b[j], widening u8 -> s32 per lane. Integer arithmetic is
 /// exact, so any width is bit-identical to the scalar loop.
 template <int W>
@@ -116,8 +146,7 @@ void qgemm_row_vec(std::int64_t n, std::int32_t av, const std::uint8_t* b,
   typedef typename V<W>::vb vb;
   std::int64_t j = 0;
   for (; j + W <= n; j += W) {
-    const vb bytes = *reinterpret_cast<const vb*>(b + j);
-    const vi wide = __builtin_convertvector(bytes, vi);
+    const vi wide = widen_u8<W>(*reinterpret_cast<const vb*>(b + j));
     vi* out = reinterpret_cast<vi*>(acc + j);
     *out += av * wide;
   }
@@ -189,7 +218,7 @@ void quantize_u8_vec(const float* src, std::int64_t n, float inv_scale,
     vi r = R::round(v);
     r = r < 0 ? vi{} : r;
     r = r > 255 ? vi{} + 255 : r;
-    for (int l = 0; l < W; ++l) dst[i + l] = static_cast<std::uint8_t>(r[l]);
+    *reinterpret_cast<typename V<W>::vb*>(dst + i) = narrow_to_bytes<W>(r);
   }
   for (; i < n; ++i) {
     const float v = src[i] * inv_scale + zp;
@@ -211,29 +240,12 @@ void quantize_s8_vec(const float* src, std::int64_t n, float inv_scale,
     vi r = R::round(v);
     r = r < -127 ? vi{} - 127 : r;
     r = r > 127 ? vi{} + 127 : r;
-    for (int l = 0; l < W; ++l) dst[i + l] = static_cast<std::int8_t>(r[l]);
+    // Two's complement: the low byte of a clamped s32 is its s8 encoding.
+    *reinterpret_cast<typename V<W>::vb*>(dst + i) = narrow_to_bytes<W>(r);
   }
   for (; i < n; ++i) {
     const auto r = static_cast<std::int32_t>(std::lround(src[i] * inv_scale));
     dst[i] = static_cast<std::int8_t>(std::clamp(r, -127, 127));
-  }
-}
-
-template <int W>
-void dequantize_u8_vec(const std::uint8_t* src, std::int64_t n, float scale,
-                       float zp, float* dst) {
-  typedef typename V<W>::vf vf;
-  typedef typename V<W>::vi vi;
-  typedef typename V<W>::vb vb;
-  std::int64_t i = 0;
-  for (; i + W <= n; i += W) {
-    const vb bytes = *reinterpret_cast<const vb*>(src + i);
-    const vf v = __builtin_convertvector(
-        __builtin_convertvector(bytes, vi), vf);
-    *reinterpret_cast<vf*>(dst + i) = scale * (v - zp);
-  }
-  for (; i < n; ++i) {
-    dst[i] = scale * (static_cast<float>(src[i]) - zp);
   }
 }
 

@@ -57,14 +57,6 @@ void quantize_u8(const float* src, std::int64_t n, const QuantParams& params,
                                                          zp, dst);
 }
 
-void dequantize_u8(const std::uint8_t* src, std::int64_t n,
-                   const QuantParams& params, float* dst) {
-  const auto zp = static_cast<float>(params.zero_point);
-  kernels::KernelRegistry::global().active().dequantize_u8(src, n,
-                                                           params.scale, zp,
-                                                           dst);
-}
-
 float symmetric_scale(float max_abs) {
   DCN_CHECK(max_abs >= 0.0f) << "max_abs " << max_abs;
   return max_abs == 0.0f ? 1.0f : max_abs / 127.0f;

@@ -40,10 +40,6 @@ QuantParams choose_quant_params(float min_value, float max_value);
 void quantize_u8(const float* src, std::int64_t n, const QuantParams& params,
                  std::uint8_t* dst);
 
-/// Elementwise uint8 -> float.
-void dequantize_u8(const std::uint8_t* src, std::int64_t n,
-                   const QuantParams& params, float* dst);
-
 /// Symmetric int8 scale for values in [-max_abs, max_abs]: max_abs / 127
 /// (1 when max_abs == 0, so zeros stay zeros).
 float symmetric_scale(float max_abs);

@@ -26,6 +26,7 @@
 #include "geo/tiling.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
+#include "graph/numeric.hpp"
 #include "ios/executor.hpp"
 #include "ios/schedule_cache.hpp"
 #include "ios/scheduler.hpp"
@@ -150,11 +151,34 @@ TEST(Cascade, ScanCsvIsByteIdenticalAcrossThreadCounts) {
   const ScanResult serial = fixture.scan(opts);
   opts.jobs = 4;
   const ScanResult threaded = fixture.scan(opts);
-  set_num_threads(0);  // restore the process-wide default
 
   EXPECT_EQ(scan_to_csv(serial), scan_to_csv(threaded));
   EXPECT_EQ(detections_to_csv(serial), detections_to_csv(threaded));
   EXPECT_EQ(serial.survivors, threaded.survivors);
+}
+
+TEST(Cascade, ScanRestoresTheThreadSettingAlsoWhenItThrows) {
+  ScanFixture fixture = ScanFixture::make();
+  const ScopedNumThreads outer(3);
+  CascadeOptions opts = fixture.options();
+  opts.jobs = 2;
+  (void)fixture.scan(opts);
+  EXPECT_EQ(compute_threads(), 3);
+
+  // The int8 screener runs on a graph fixed at its calibration size, so a
+  // scan at another tile size throws from inside stage 1.
+  Rng rng(17);
+  Tensor calibration(Shape{2, 4, kTile, kTile});
+  for (std::int64_t i = 0; i < calibration.numel(); ++i) {
+    calibration.data()[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+  }
+  const auto int8_screener =
+      graph::quantize_sppnet(fixture.screener, calibration);
+  opts.tile_size = kTile + 8;
+  EXPECT_THROW(scan_watershed(fixture.world.photo, {}, fixture.world.crossings,
+                              *int8_screener, fixture.full, opts),
+               ShapeError);
+  EXPECT_EQ(compute_threads(), 3);
 }
 
 TEST(Cascade, ScanAccountingIsConsistent) {
@@ -293,7 +317,6 @@ TEST(Calibrator, RealPipelineChoiceIsDeterministic) {
   const ScanResult one = fixture.scan(opts);
   opts.jobs = 4;
   const ScanResult four = fixture.scan(opts);
-  set_num_threads(0);
 
   CalibratorOptions options;
   const CalibrationResult a = calibrate_threshold(one.scores, options);

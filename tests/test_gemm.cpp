@@ -18,12 +18,6 @@
 namespace dcn {
 namespace {
 
-// Restores the process-wide thread setting when a test body returns.
-struct ThreadGuard {
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
-};
-
 std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
                                  Rng& rng) {
   std::vector<float> m(static_cast<std::size_t>(rows * cols));
@@ -85,7 +79,7 @@ class GemmSweep : public testing::TestWithParam<SweepCase> {};
 
 TEST_P(GemmSweep, MatchesReferencePlusEpilogue) {
   const auto [m, n, k, ta, tb, alpha, beta, epi, threads] = GetParam();
-  ThreadGuard guard(threads);
+  ScopedNumThreads guard(threads);
   Rng rng(static_cast<std::uint64_t>(m * 7919 + n * 104729 + k * 31 +
                                      static_cast<int>(epi) * 5 + threads) +
           (ta ? 17 : 0) + (tb ? 29 : 0));
@@ -153,12 +147,12 @@ TEST(Gemm, BitIdenticalAcrossThreadCounts) {
   std::vector<float> c1(static_cast<std::size_t>(m) * n, 0.0f);
   std::vector<float> c5 = c1;
   {
-    ThreadGuard guard(1);
+    ScopedNumThreads guard(1);
     sgemm_ex(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
              c1.data(), n, ep);
   }
   {
-    ThreadGuard guard(5);
+    ScopedNumThreads guard(5);
     sgemm_ex(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
              c5.data(), n, ep);
   }

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,11 +30,6 @@ namespace {
 
 using kernels::KernelRegistry;
 using kernels::TileTuner;
-
-struct ThreadGuard {
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
-};
 
 // Every test runs against a private tuner cache directory so the suite
 // neither reads nor pollutes the user's ~/.cache.
@@ -109,7 +105,6 @@ TEST_F(KernelsTest, EveryVariantRegistersCompleteKernelSet) {
     EXPECT_NE(v->accumulate, nullptr) << name;
     EXPECT_NE(v->quantize_u8, nullptr) << name;
     EXPECT_NE(v->quantize_s8, nullptr) << name;
-    EXPECT_NE(v->dequantize_u8, nullptr) << name;
     for (const auto& k : v->sgemm) {
       EXPECT_GE(k.mr, 1);
       EXPECT_LE(k.mr, kernels::kMaxMr);
@@ -251,12 +246,12 @@ TEST_F(KernelsTest, EveryVariantBitIdenticalAcrossThreadCounts) {
     std::vector<float> c1(static_cast<std::size_t>(m) * n, 0.0f);
     std::vector<float> c5 = c1;
     {
-      ThreadGuard guard(1);
+      ScopedNumThreads guard(1);
       sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
             c1.data(), n);
     }
     {
-      ThreadGuard guard(5);
+      ScopedNumThreads guard(5);
       sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
             c5.data(), n);
     }
@@ -391,42 +386,83 @@ TEST_F(KernelsTest, CacheKeyBucketsShapesIntoClasses) {
 
 // ----------------------------------------------------------------- qgemm --
 
+// Turns the tuner off for its scope, so a variant sweep runs each
+// variant's default tile instead of cold-tuning a shape class per variant
+// (which costs more than the check itself; the outputs do not depend on it).
+struct ScopedTunerOff {
+  ScopedTunerOff() { TileTuner::global().set_enabled(false); }
+  ~ScopedTunerOff() { TileTuner::global().set_enabled(true); }
+};
+
 TEST_F(KernelsTest, QgemmEveryVariantBitExactAgainstReference) {
   KernelRegistry& reg = KernelRegistry::global();
   Rng rng(44);
-  const int m = 37, n = 113, k = 71;
-  std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
-  std::vector<std::uint8_t> b(static_cast<std::size_t>(k) * n);
-  for (auto& v : a) {
-    v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-  }
-  for (auto& v : b) {
-    v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-  }
-  std::vector<float> scales(static_cast<std::size_t>(m));
-  for (auto& s : scales) s = 0.01f + 0.001f * static_cast<float>(rng.normal());
-  QuantParams bp;
-  bp.scale = 0.02f;
-  bp.zero_point = 131;
-  std::vector<float> bias(static_cast<std::size_t>(m), 0.25f);
-  QuantEpilogue ep;
-  ep.row_bias = bias.data();
-  ep.relu = true;
-  std::vector<float> ref(static_cast<std::size_t>(m) * n, 0.0f);
-  qgemm_reference(m, n, k, a.data(), k, scales.data(), m, b.data(), n, bp,
-                  ref.data(), n, ep);
-  for (const auto& name : reg.variant_names()) {
-    if (!reg.variant_supported(name)) continue;
-    KernelRegistry::ScopedForce force(name);
-    ASSERT_TRUE(force.ok());
-    for (int threads : {1, 4}) {
-      ThreadGuard guard(threads);
-      std::vector<float> c(static_cast<std::size_t>(m) * n, -1.0f);
-      qgemm(m, n, k, a.data(), k, scales.data(), m, b.data(), n, bp, c.data(),
-            n, ep);
-      EXPECT_EQ(0, std::memcmp(ref.data(), c.data(), ref.size() *
-                                                         sizeof(float)))
-          << name << " threads=" << threads;
+  // A random case with a fused epilogue (tuned), then saturated bytes with
+  // the tuner off: every byte of B at 255 against av = +-127 is the widest
+  // product the u8 -> s32 widening sees, k = 4096 is SPP-Net #2's longest
+  // reduction, the screener's conv lowerings are 8x576x36 and 16x144x72,
+  // and n = 37 / 61 are not a multiple of any lane width.
+  struct Case {
+    std::int64_t m, n, k;
+    std::int32_t zero_point;
+    bool saturated;
+  };
+  const Case cases[] = {
+      {37, 113, 71, 131, false}, {5, 37, 4096, 0, true},
+      {5, 37, 4096, 255, true},  {8, 576, 36, 0, true},
+      {8, 576, 36, 255, true},   {16, 144, 72, 0, true},
+      {16, 144, 72, 255, true},  {3, 61, 1, 0, true},
+      {3, 61, 1, 255, true}};
+  for (const Case& cs : cases) {
+    const std::int64_t m = cs.m, n = cs.n, k = cs.k;
+    std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+    std::vector<std::uint8_t> b(static_cast<std::size_t>(k * n), 255);
+    std::vector<float> scales(static_cast<std::size_t>(m), 1.0f / 64.0f);
+    if (cs.saturated) {
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        a[i] = static_cast<std::int8_t>(i % 3 == 0 ? -127 : 127);
+      }
+    } else {
+      for (auto& v : a) {
+        v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+      }
+      for (auto& v : b) {
+        v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      }
+      for (auto& s : scales) {
+        s = 0.01f + 0.001f * static_cast<float>(rng.normal());
+      }
+    }
+    QuantParams bp;
+    bp.scale = cs.saturated ? 0.5f : 0.02f;
+    bp.zero_point = cs.zero_point;
+    std::vector<float> bias(static_cast<std::size_t>(m), 0.25f);
+    QuantEpilogue ep;
+    if (!cs.saturated) {
+      ep.row_bias = bias.data();
+      ep.relu = true;
+    }
+    const std::string what = std::to_string(m) + "x" + std::to_string(n) +
+                             "x" + std::to_string(k) +
+                             " zp=" + std::to_string(cs.zero_point);
+    std::vector<float> ref(static_cast<std::size_t>(m * n), 0.0f);
+    qgemm_reference(m, n, k, a.data(), k, scales.data(), m, b.data(), n, bp,
+                    ref.data(), n, ep);
+    std::optional<ScopedTunerOff> tuner_off;
+    if (cs.saturated) tuner_off.emplace();
+    for (const auto& name : reg.variant_names()) {
+      if (!reg.variant_supported(name)) continue;
+      KernelRegistry::ScopedForce force(name);
+      ASSERT_TRUE(force.ok());
+      for (int threads : {1, 4}) {
+        ScopedNumThreads guard(threads);
+        std::vector<float> c(static_cast<std::size_t>(m * n), -1.0f);
+        qgemm(m, n, k, a.data(), k, scales.data(), m, b.data(), n, bp,
+              c.data(), n, ep);
+        EXPECT_EQ(0, std::memcmp(ref.data(), c.data(), ref.size() *
+                                                           sizeof(float)))
+            << what << ": " << name << " threads=" << threads;
+      }
     }
   }
 }
@@ -437,13 +473,17 @@ TEST_F(KernelsTest, QuantizeEveryVariantBitExactIncludingTieEdges) {
   KernelRegistry& reg = KernelRegistry::global();
   // Adversarial values for ties-away rounding: the naive trunc(v + 0.5)
   // breaks on 0.49999997f (rounds to 1); exact halves must round away from
-  // zero in both signs; values beyond the clamp must saturate.
-  std::vector<float> src = {0.49999997f,  -0.49999997f, 0.5f,    -0.5f,
-                            1.5f,         -1.5f,        2.5f,    -2.5f,
-                            0.0f,         -0.0f,        127.49f, -127.49f,
-                            127.5f,       -127.5f,      1.0e9f,  -1.0e9f,
-                            254.49998f,   254.5f,       255.49f, 300.0f,
-                            1.0e-40f,     -1.0e-40f,    3.49f,   -3.49f};
+  // zero in both signs; values beyond the clamp must saturate. Then values
+  // at and just past both clamps of u8 (zero point 7, so the edges sit at
+  // -7 and 248) and of s8 (+-127).
+  std::vector<float> src = {
+      0.49999997f, -0.49999997f, 0.5f,    -0.5f,    1.5f,     -1.5f,
+      2.5f,        -2.5f,        0.0f,    -0.0f,    127.49f,  -127.49f,
+      127.5f,      -127.5f,      1.0e9f,  -1.0e9f,  254.49998f, 254.5f,
+      255.49f,     300.0f,       1.0e-40f, -1.0e-40f, 3.49f,  -3.49f,
+      -8.0f,       -7.5f,        -7.49f,  -7.0f,    -6.5f,    247.5f,
+      248.0f,      248.49f,      248.5f,  249.0f,   -128.0f,  -127.0f,
+      126.5f,      127.0f,       128.0f};
   Rng rng(101);
   for (int i = 0; i < 1000; ++i) {
     src.push_back(static_cast<float>(rng.normal()) * 80.0f);
@@ -455,13 +495,11 @@ TEST_F(KernelsTest, QuantizeEveryVariantBitExactIncludingTieEdges) {
 
   std::vector<std::uint8_t> u8_ref(src.size());
   std::vector<std::int8_t> s8_ref(src.size());
-  std::vector<float> deq_ref(src.size());
   {
     KernelRegistry::ScopedForce force("generic");
     ASSERT_TRUE(force.ok());
     quantize_u8(src.data(), n, params, u8_ref.data());
     quantize_s8(src.data(), n, 1.0f, s8_ref.data());
-    dequantize_u8(u8_ref.data(), n, params, deq_ref.data());
   }
   for (const auto& name : reg.variant_names()) {
     if (!reg.variant_supported(name)) continue;
@@ -469,15 +507,91 @@ TEST_F(KernelsTest, QuantizeEveryVariantBitExactIncludingTieEdges) {
     ASSERT_TRUE(force.ok());
     std::vector<std::uint8_t> u8(src.size());
     std::vector<std::int8_t> s8(src.size());
-    std::vector<float> deq(src.size());
     quantize_u8(src.data(), n, params, u8.data());
     quantize_s8(src.data(), n, 1.0f, s8.data());
-    dequantize_u8(u8.data(), n, params, deq.data());
     EXPECT_EQ(0, std::memcmp(u8_ref.data(), u8.data(), u8.size())) << name;
     EXPECT_EQ(0, std::memcmp(s8_ref.data(), s8.data(), s8.size())) << name;
-    EXPECT_EQ(0, std::memcmp(deq_ref.data(), deq.data(),
-                             deq.size() * sizeof(float)))
-        << name;
+    // Quantization is elementwise, so every length from 1 to 70 at start
+    // offsets 0..3 must reproduce its slice of the generic output: the
+    // clamp edges land in vector bodies, scalar tails and unaligned lanes.
+    for (int threads : {1, 4}) {
+      ScopedNumThreads guard(threads);
+      for (std::int64_t offset = 0; offset < 4; ++offset) {
+        for (std::int64_t len = 1; len <= 70; ++len) {
+          quantize_u8(src.data() + offset, len, params, u8.data());
+          quantize_s8(src.data() + offset, len, 1.0f, s8.data());
+          EXPECT_EQ(0, std::memcmp(u8_ref.data() + offset, u8.data(),
+                                   static_cast<std::size_t>(len)))
+              << name << " threads=" << threads << " offset=" << offset
+              << " n=" << len;
+          EXPECT_EQ(0, std::memcmp(s8_ref.data() + offset, s8.data(),
+                                   static_cast<std::size_t>(len)))
+              << name << " threads=" << threads << " offset=" << offset
+              << " n=" << len;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, TransposedBSgemmMatchesGenericAndTheUntransposedPack) {
+  // nn::Linear's x * W^T: W stored [n, k] with a padded row stride. The
+  // transposed pack must produce the same panel bytes as packing an
+  // explicit W^T, so the two calls are memcmp-equal on every variant. At
+  // m = 8 the product is large enough for two bands at 4 threads.
+  Rng rng(57);
+  const std::int64_t n = 2053, k = 520, ldb = k + 5;  // ragged n, 3 K blocks
+  const auto w = random_matrix(n, ldb, rng);
+  std::vector<float> wt(static_cast<std::size_t>(k * n));
+  for (std::int64_t j = 0; j < n; ++j) {
+    for (std::int64_t p = 0; p < k; ++p) wt[p * n + j] = w[j * ldb + p];
+  }
+  std::vector<float> bias(static_cast<std::size_t>(n));
+  for (auto& v : bias) v = static_cast<float>(rng.normal());
+  GemmEpilogue ep;
+  ep.col_bias = bias.data();
+  ep.relu = true;
+  for (const std::int64_t m : {1, 5, 8}) {
+    const auto x = random_matrix(m, k, rng);
+    const auto size = static_cast<std::size_t>(m * n);
+    const std::string what = "m=" + std::to_string(m);
+    const auto transposed = [&](float* y) {
+      sgemm_ex(false, true, m, n, k, 1.0f, x.data(), k, w.data(), ldb, 0.0f,
+               y, n, ep);
+    };
+    {
+      // Every variant at its default tile against the generic variant.
+      ScopedTunerOff tuner_off;
+      std::vector<float> ref(size);
+      {
+        KernelRegistry::ScopedForce force("generic");
+        ASSERT_TRUE(force.ok());
+        ScopedNumThreads guard(1);
+        transposed(ref.data());
+      }
+      for (const auto& name : KernelRegistry::global().variant_names()) {
+        if (!KernelRegistry::global().variant_supported(name)) continue;
+        KernelRegistry::ScopedForce force(name);
+        ASSERT_TRUE(force.ok());
+        for (int threads : {1, 4}) {
+          ScopedNumThreads guard(threads);
+          std::vector<float> y(size);
+          transposed(y.data());
+          EXPECT_EQ(0, std::memcmp(ref.data(), y.data(), size * sizeof(float)))
+              << what << ": " << name << " threads=" << threads;
+        }
+      }
+    }
+    // Every tile of the active variant, against the untransposed layout.
+    for (const auto& tile : KernelRegistry::global().active().sgemm) {
+      TileTuner::ScopedForcedTile force(tile.mr, tile.nr);
+      std::vector<float> y(size), y_ref(size);
+      transposed(y.data());
+      sgemm_ex(false, false, m, n, k, 1.0f, x.data(), k, wt.data(), n, 0.0f,
+               y_ref.data(), n, ep);
+      EXPECT_EQ(0, std::memcmp(y_ref.data(), y.data(), size * sizeof(float)))
+          << what << " tile " << tile.mr << 'x' << tile.nr;
+    }
   }
 }
 

@@ -19,11 +19,6 @@
 namespace dcn {
 namespace {
 
-struct ThreadGuard {
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
-};
-
 Tensor random_tensor(const Shape& shape, std::uint64_t seed) {
   Rng rng(seed);
   Tensor t(shape);
@@ -49,7 +44,7 @@ struct ConvPassResult {
 };
 
 ConvPassResult run_conv_pass(int jobs) {
-  ThreadGuard guard(jobs);
+  ScopedNumThreads guard(jobs);
   Rng rng(123);
   Conv2d conv(3, 8, 3, 1, 1, rng);  // same weights for every jobs value
   const Tensor input = random_tensor(Shape{9, 3, 13, 11}, 99);
@@ -81,7 +76,7 @@ TEST(ParallelConv, ForwardAndBackwardBitIdenticalAcrossJobs) {
 TEST(ParallelConv, StridedAndSingleSampleShapesBitIdentical) {
   // batch < chunks, stride > 1, and pad 0 hit the other partition branches.
   auto run = [](int jobs) {
-    ThreadGuard guard(jobs);
+    ScopedNumThreads guard(jobs);
     Rng rng(7);
     Conv2d conv(2, 5, 3, 2, 0, rng);
     const Tensor input = random_tensor(Shape{3, 2, 17, 9}, 55);
@@ -96,7 +91,7 @@ TEST(ParallelConv, StridedAndSingleSampleShapesBitIdentical) {
 }
 
 TEST(ParallelConv, GradcheckHoldsUnderThreading) {
-  ThreadGuard guard(4);
+  ScopedNumThreads guard(4);
   Rng rng(11);
   Conv2d conv(2, 4, 3, 1, 1, rng);
   const Tensor input = random_tensor(Shape{4, 2, 7, 7}, 33);
@@ -110,7 +105,7 @@ TEST(ParallelConv, GradcheckHoldsUnderThreading) {
 
 TEST(ParallelConv, LinearFusedBiasBitIdenticalAcrossJobs) {
   auto run = [](int jobs) {
-    ThreadGuard guard(jobs);
+    ScopedNumThreads guard(jobs);
     Rng rng(17);
     Linear lin(96, 64, rng);
     const Tensor input = random_tensor(Shape{33, 96}, 44);
@@ -128,7 +123,7 @@ TEST(ParallelConv, LinearFusedBiasBitIdenticalAcrossJobs) {
 }
 
 TEST(ParallelConv, LinearGradcheckHoldsUnderThreading) {
-  ThreadGuard guard(4);
+  ScopedNumThreads guard(4);
   Rng rng(19);
   Linear lin(24, 12, rng);
   const Tensor input = random_tensor(Shape{6, 24}, 66);
