@@ -18,7 +18,6 @@
 #include "ios/scheduler.hpp"
 #include "profiler/report.hpp"
 #include "simgpu/device.hpp"
-#include "simgpu/kernels.hpp"
 
 namespace {
 
@@ -29,7 +28,7 @@ namespace {
 double activation_traffic(const dcn::graph::Graph& g) {
   double total = 0.0;
   for (const dcn::graph::OpNode& node : g.nodes()) {
-    if (!dcn::simgpu::is_device_op(node.kind)) continue;
+    if (!dcn::graph::is_device_op(node.kind)) continue;
     total += node.activation_bytes(g.input_desc(node.id));
   }
   return total;

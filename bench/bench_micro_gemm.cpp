@@ -43,6 +43,8 @@ void BM_GemmBlocked(benchmark::State& state) {
   const auto a = random_matrix(m * k, rng);
   const auto b = random_matrix(k * n, rng);
   std::vector<float> c(static_cast<std::size_t>(m * n));
+  // Untimed warm-up: the first call on a cold cache runs the autotuner.
+  matmul(false, false, m, n, k, a.data(), b.data(), c.data());
   for (auto _ : state) {
     matmul(false, false, m, n, k, a.data(), b.data(), c.data());
     benchmark::DoNotOptimize(c.data());
@@ -199,6 +201,8 @@ void BM_GemmTransposedB(benchmark::State& state) {
   const auto x = random_matrix(batch * in, rng);
   const auto w = random_matrix(out * in, rng);
   std::vector<float> y(static_cast<std::size_t>(batch * out));
+  // Untimed warm-up: the first call on a cold cache runs the autotuner.
+  matmul(false, true, batch, out, in, x.data(), w.data(), y.data());
   for (auto _ : state) {
     matmul(false, true, batch, out, in, x.data(), w.data(), y.data());
     benchmark::DoNotOptimize(y.data());

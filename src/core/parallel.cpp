@@ -83,6 +83,20 @@ std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n,
   return {lo, lo + base + (c < rem ? 1 : 0)};
 }
 
+void for_each_sample(std::int64_t batch,
+                     const std::function<void(std::int64_t)>& run_sample) {
+  const int tasks =
+      static_cast<int>(std::min<std::int64_t>(compute_threads(), batch));
+  if (tasks <= 1) {
+    for (std::int64_t n = 0; n < batch; ++n) run_sample(n);
+    return;
+  }
+  run_compute_tasks(tasks, [&](int t) {
+    const auto [lo, hi] = chunk_range(batch, tasks, t);
+    for (std::int64_t n = lo; n < hi; ++n) run_sample(n);
+  });
+}
+
 ThreadPool::ThreadPool(int threads) {
   const int n = std::max(1, threads);
   workers_.reserve(static_cast<std::size_t>(n));

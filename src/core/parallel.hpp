@@ -81,6 +81,14 @@ std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n,
                                                   std::int64_t chunks,
                                                   std::int64_t c);
 
+/// Run run_sample(n) for every sample n in [0, batch): contiguous sample
+/// ranges (chunk_range) over min(compute_threads(), batch) tasks, or a
+/// plain loop when that is one task. For per-sample work with disjoint
+/// outputs (the conv forwards), so the thread count never changes what a
+/// sample computes; a single sample instead parallelizes inside its GEMM.
+void for_each_sample(std::int64_t batch,
+                     const std::function<void(std::int64_t)>& run_sample);
+
 /// Fixed-size pool of std::thread workers draining a FIFO task queue.
 /// Tasks run in submission order (though they complete in any order); an
 /// exception escaping a task is captured and rethrown from the

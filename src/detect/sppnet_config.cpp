@@ -7,13 +7,18 @@
 namespace dcn::detect {
 namespace {
 
+// Malformed notation is a ConfigError, the failure parse_notation documents.
+void require(bool ok, const std::string& what) {
+  if (!ok) throw ConfigError(what);
+}
+
 // Parse "{a,b,c}" (1 to 3 comma-separated integers) after a prefix.
 std::vector<std::int64_t> parse_braced_ints(const std::string& token,
                                             std::size_t prefix_len,
                                             const std::string& context) {
-  DCN_CHECK(token.size() > prefix_len + 2 && token[prefix_len] == '{' &&
-            token.back() == '}')
-      << "malformed " << context << " token '" << token << "'";
+  require(token.size() > prefix_len + 2 && token[prefix_len] == '{' &&
+              token.back() == '}',
+          "malformed " + context + " token '" + token + "'");
   const std::string inner =
       token.substr(prefix_len + 1, token.size() - prefix_len - 2);
   std::vector<std::int64_t> values;
@@ -23,13 +28,13 @@ std::vector<std::int64_t> parse_braced_ints(const std::string& token,
     try {
       std::size_t pos = 0;
       values.push_back(std::stoll(part, &pos));
-      DCN_CHECK(pos == part.size()) << "trailing junk in '" << part << "'";
+      require(pos == part.size(), "trailing junk in '" + part + "'");
     } catch (const std::exception&) {
       throw ConfigError("bad integer '" + part + "' in " + context +
                         " token '" + token + "'");
     }
   }
-  DCN_CHECK(!values.empty()) << "empty " << context << " token";
+  require(!values.empty(), "empty " + context + " token");
   return values;
 }
 
@@ -131,41 +136,41 @@ SppNetConfig parse_notation(const std::string& notation,
     token += ch;
   }
   if (!token.empty()) tokens.push_back(token);
-  DCN_CHECK(!tokens.empty()) << "empty architecture notation";
+  require(!tokens.empty(), "empty architecture notation");
 
   bool seen_spp = false;
   for (const std::string& t : tokens) {
     if (t.rfind("C_", 0) == 0) {
-      DCN_CHECK(!seen_spp) << "conv after SPP in '" << notation << "'";
+      require(!seen_spp, "conv after SPP in '" + notation + "'");
       const auto v = parse_braced_ints(t, 2, "conv");
-      DCN_CHECK(v.size() == 3) << "conv needs {filters,kernel,stride}";
+      require(v.size() == 3, "conv needs {filters,kernel,stride}");
       TrunkStage stage;
       stage.kind = TrunkStage::Kind::kConv;
       stage.conv = {v[0], v[1], v[2]};
       config.trunk.push_back(stage);
     } else if (t.rfind("P_", 0) == 0) {
-      DCN_CHECK(!seen_spp) << "pool after SPP in '" << notation << "'";
+      require(!seen_spp, "pool after SPP in '" + notation + "'");
       const auto v = parse_braced_ints(t, 2, "pool");
-      DCN_CHECK(v.size() == 2) << "pool needs {kernel,stride}";
+      require(v.size() == 2, "pool needs {kernel,stride}");
       TrunkStage stage;
       stage.kind = TrunkStage::Kind::kPool;
       stage.pool = {v[0], v[1]};
       config.trunk.push_back(stage);
     } else if (t.rfind("SPP_", 0) == 0) {
-      DCN_CHECK(!seen_spp) << "duplicate SPP in '" << notation << "'";
+      require(!seen_spp, "duplicate SPP in '" + notation + "'");
       config.spp_levels = parse_braced_ints(t, 4, "SPP");
       seen_spp = true;
     } else if (t.rfind("F_", 0) == 0) {
-      DCN_CHECK(seen_spp) << "F before SPP in '" << notation << "'";
+      require(seen_spp, "F before SPP in '" + notation + "'");
       const auto v = parse_braced_ints(t, 2, "fc");
-      DCN_CHECK(v.size() == 1) << "fc needs {neurons}";
+      require(v.size() == 1, "fc needs {neurons}");
       config.fc_sizes.push_back(v[0]);
     } else {
       throw ConfigError("unknown token '" + t + "' in architecture '" +
                         notation + "'");
     }
   }
-  DCN_CHECK(seen_spp) << "architecture '" << notation << "' lacks an SPP layer";
+  require(seen_spp, "architecture '" + notation + "' lacks an SPP layer");
   return config;
 }
 

@@ -10,7 +10,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/workspace.hpp"
@@ -48,49 +47,6 @@ ConvGeometry conv_geometry(const OpNode& node, const Tensor& x) {
   return g;
 }
 
-// Batch-parallel sample loop shared by the conv paths; identical to
-// Conv2d::forward's partition so thread count never changes what a sample
-// computes.
-void for_each_sample(std::int64_t batch,
-                     const std::function<void(std::int64_t)>& run_sample) {
-  const int tasks =
-      static_cast<int>(std::min<std::int64_t>(compute_threads(), batch));
-  if (tasks <= 1) {
-    for (std::int64_t n = 0; n < batch; ++n) run_sample(n);
-  } else {
-    run_compute_tasks(tasks, [&](int t) {
-      const auto [lo, hi] = chunk_range(batch, tasks, t);
-      for (std::int64_t n = lo; n < hi; ++n) run_sample(n);
-    });
-  }
-}
-
-Tensor run_conv_fp32(const OpNode& node, const Tensor& x,
-                     const Tensor& weight, const Tensor& bias, bool fused) {
-  const std::int64_t batch = x.dim(0);
-  const ConvGeometry g = conv_geometry(node, x);
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t out_c = node.attrs.out_channels;
-  const std::int64_t k = g.channels * g.kernel_h * g.kernel_w;
-  const std::int64_t ohw = oh * ow;
-  Tensor out(Shape{batch, out_c, oh, ow});
-  const std::int64_t in_stride = g.channels * g.height * g.width;
-  const std::int64_t out_stride = out_c * ohw;
-  GemmEpilogue epilogue;
-  epilogue.row_bias = bias.data();
-  epilogue.relu = fused;  // FusedConvReLU: the ReLU rides the C-tile store
-  for_each_sample(batch, [&](std::int64_t n) {
-    Workspace& ws = Workspace::tls();
-    Workspace::Scope scope(ws);
-    float* col = ws.floats(static_cast<std::size_t>(k * ohw));
-    im2col(x.data() + n * in_stride, g, col);
-    sgemm_ex(false, false, out_c, ohw, k, 1.0f, weight.data(), k, col, ohw,
-             0.0f, out.data() + n * out_stride, ohw, epilogue);
-  });
-  return out;
-}
-
 Tensor run_conv_int8(const OpNode& node, const Tensor& x,
                      const QuantizedWeights& weights, const float* bias,
                      const QuantParams& input_params, bool fused) {
@@ -119,20 +75,6 @@ Tensor run_conv_int8(const OpNode& node, const Tensor& x,
     qgemm(weights, qcol, ohw, ohw, input_params,
           out.data() + n * out_stride, ohw, epilogue);
   });
-  return out;
-}
-
-Tensor run_linear_fp32(const Tensor& x, const Tensor& weight,
-                       const Tensor& bias, bool fused) {
-  const std::int64_t batch = x.dim(0);
-  const std::int64_t out_f = weight.dim(0);
-  const std::int64_t in_f = weight.dim(1);
-  Tensor out(Shape{batch, out_f});
-  GemmEpilogue epilogue;
-  epilogue.col_bias = bias.data();
-  epilogue.relu = fused;
-  sgemm_ex(false, true, batch, out_f, in_f, 1.0f, x.data(), in_f,
-           weight.data(), in_f, 0.0f, out.data(), out_f, epilogue);
   return out;
 }
 
@@ -207,11 +149,6 @@ NumericExecutor::NumericExecutor(const Graph& graph, WeightMap weights)
   for (const OpNode& node : graph_.nodes()) {
     if (node.kind == OpKind::kInput) ++inputs;
     if (node.kind == OpKind::kOutput) ++outputs;
-    if (node.kind == OpKind::kConstant) {
-      throw ConfigError("NumericExecutor: op '" + node.name +
-                        "' is a folded Constant; the cost IR carries no "
-                        "constant tensor values to execute");
-    }
     if (is_conv_kind(node.kind)) {
       const auto it = weights_.find(node.name);
       if (it == weights_.end()) {
@@ -296,7 +233,9 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
                                       q.input_params, fused);
         } else {
           const OpWeights& w = weights_.at(node.name);
-          values[idx] = run_conv_fp32(node, x, *w.weight, w.bias, fused);
+          values[idx] = conv2d_forward(x, *w.weight, w.bias.data(),
+                                       node.attrs.stride, node.attrs.padding,
+                                       fused);
         }
         break;
       }
@@ -319,7 +258,7 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
                                         q.input_params, fused);
         } else {
           const OpWeights& w = weights_.at(node.name);
-          values[idx] = run_linear_fp32(x, *w.weight, w.bias, fused);
+          values[idx] = linear_forward(x, *w.weight, w.bias.data(), fused);
         }
         break;
       }
@@ -372,9 +311,6 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
         output_id = node.id;
         break;
       }
-      case OpKind::kConstant:
-        // Rejected in the constructor.
-        break;
     }
   }
   const OpId result = output_id != kInvalidOp ? output_id : last_id;

@@ -14,7 +14,7 @@
 // threading model").
 //
 // Weights bind by op name (the builder's conv<i> / fc<i> / head naming),
-// which the fusion passes preserve: a weight map extracted once serves the
+// which the fusion rewrites preserve: a weight map extracted once serves the
 // naive graph, the optimized graph, and anything in between.
 #pragma once
 
@@ -49,15 +49,13 @@ using WeightMap = std::unordered_map<std::string, OpWeights>;
 /// Bind a trained SPP-Net's parameters under the graph builder's op names
 /// (conv0, conv1, ..., fc0, ..., head): the weights are borrowed from `net`
 /// in place, the biases copied (OpWeights). The returned map binds to the
-/// naive inference graph and to any pass-optimized graph derived from it.
+/// naive inference graph and to any optimized graph derived from it.
 WeightMap extract_weights(detect::SppNet& net);
 
 class NumericExecutor {
  public:
   /// `graph` is copied; `weights` must cover every compute op by name with
   /// shapes matching the op's attributes (throws ConfigError otherwise).
-  /// Graphs containing Constant nodes are rejected: this cost IR does not
-  /// carry folded tensor values.
   NumericExecutor(const Graph& graph, WeightMap weights);
 
   /// fp32 inference: [N, C, H, W] -> the Output node's value, [N, ...].
@@ -100,7 +98,7 @@ class NumericExecutor {
 };
 
 /// Post-training int8 quantization of a trained SPP-Net: the model that
-/// deploys is the pass-optimized inference graph of `net.config()` at the
+/// deploys is the optimized inference graph of `net.config()` at the
 /// calibration batch's spatial size, bound to `net`'s weights and
 /// calibrated on `calibration` (NumericExecutor::quantize). The returned
 /// Module's forward is NumericExecutor::forward_int8, [N,C,S,S] float in ->

@@ -26,14 +26,16 @@ const char* op_kind_name(OpKind kind) {
       return "Concat";
     case OpKind::kOutput:
       return "Output";
-    case OpKind::kConstant:
-      return "Constant";
     case OpKind::kFusedConvReLU:
       return "FusedConvReLU";
     case OpKind::kFusedLinearReLU:
       return "FusedLinearReLU";
   }
   return "Unknown";
+}
+
+bool is_device_op(OpKind kind) {
+  return kind != OpKind::kInput && kind != OpKind::kOutput;
 }
 
 bool is_fused_kind(OpKind kind) {
@@ -119,16 +121,12 @@ double OpNode::flops(const TensorDesc& input_desc) const {
     case OpKind::kConcat:
     case OpKind::kInput:
     case OpKind::kOutput:
-    case OpKind::kConstant:
       return 0.0;
   }
   return 0.0;
 }
 
 double OpNode::activation_bytes(const TensorDesc& input_desc) const {
-  // Folded constants are materialized once with the weights; they stream no
-  // activations at inference time.
-  if (kind == OpKind::kConstant) return 0.0;
   // One input read plus one output write — for fused kinds this is the fix
   // for the double-count bug: the unfused twin's accounting is
   //   conv: (in + mid) + relu: (mid + out)  with mid == out,

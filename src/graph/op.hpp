@@ -23,10 +23,6 @@ enum class OpKind {
   kFlatten,
   kConcat,
   kOutput,
-  /// Producer-less node whose output was computed at optimization time
-  /// (constant folding). Materialized once alongside the weights; launches
-  /// nothing and moves no per-inference activation bytes.
-  kConstant,
   /// Conv2d with the trailing ReLU applied in the GEMM epilogue store —
   /// one kernel launch, no intermediate pre-activation tensor in DRAM.
   kFusedConvReLU,
@@ -35,6 +31,11 @@ enum class OpKind {
 };
 
 const char* op_kind_name(OpKind kind);
+
+/// Whether the op launches a device kernel: every kind but Input and
+/// Output. The scheduler, the pipeline partitioner and the launch counts
+/// all use this one rule.
+bool is_device_op(OpKind kind);
 
 /// Whether `kind` is a fused compute op (base op + epilogue ReLU).
 bool is_fused_kind(OpKind kind);

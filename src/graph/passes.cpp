@@ -1,28 +1,64 @@
 #include "graph/passes.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "core/error.hpp"
 
 namespace dcn::graph {
+namespace {
 
-// --- MutableGraph -----------------------------------------------------------
+// Full pipeline sweeps before optimize_graph stops even without a fixpoint:
+// a safety net against a pair of rewrites that undo each other.
+constexpr int kMaxSweeps = 8;
 
-MutableGraph::MutableGraph(const Graph& graph)
-    : nodes_(graph.nodes()), alive_(graph.size(), true) {}
+/// Scratch rewrite view over a Graph. Node ids stay stable while rewrites
+/// mutate; erased nodes become tombstones skipped by live_ids(); build()
+/// compacts survivors (in original insertion order, which every rewrite
+/// here preserves as a topological order) into a fresh validated Graph.
+class MutableGraph {
+ public:
+  explicit MutableGraph(const Graph& graph)
+      : nodes_(graph.nodes()), alive_(graph.size(), true) {}
 
-std::size_t MutableGraph::live_count() const {
-  return static_cast<std::size_t>(
-      std::count(alive_.begin(), alive_.end(), true));
-}
+  /// Ids ever allocated (live or dead); valid id range is [0, capacity()).
+  std::size_t capacity() const { return nodes_.size(); }
+
+  OpNode& node(OpId id);
+  const OpNode& node(OpId id) const;
+  bool alive(OpId id) const;
+
+  /// Live ids in insertion order.
+  std::vector<OpId> live_ids() const;
+
+  /// Live consumers of `id`'s output, ascending.
+  std::vector<OpId> consumers(OpId id) const;
+
+  /// Whether redirecting `from` -> `to` keeps all input lists duplicate-free
+  /// (a consumer reading both tensors would end up with a double edge).
+  bool can_redirect(OpId from, OpId to) const;
+
+  /// Point every live consumer of `from` at `to`. Requires can_redirect().
+  void redirect(OpId from, OpId to);
+
+  /// Tombstone a node; its consumers must have been redirected already.
+  void erase(OpId id);
+
+  /// Compact into a validated Graph (Graph::add_op re-checks every edge).
+  Graph build() const;
+
+ private:
+  std::vector<OpNode> nodes_;
+  std::vector<bool> alive_;
+};
 
 OpNode& MutableGraph::node(OpId id) {
-  DCN_CHECK(alive(id)) << "pass touched dead/invalid op id " << id;
+  DCN_CHECK(alive(id)) << "rewrite touched dead/invalid op id " << id;
   return nodes_[static_cast<std::size_t>(id)];
 }
 
 const OpNode& MutableGraph::node(OpId id) const {
-  DCN_CHECK(alive(id)) << "pass touched dead/invalid op id " << id;
+  DCN_CHECK(alive(id)) << "rewrite touched dead/invalid op id " << id;
   return nodes_[static_cast<std::size_t>(id)];
 }
 
@@ -98,10 +134,6 @@ Graph MutableGraph::build() const {
   return out;
 }
 
-// --- Built-in passes --------------------------------------------------------
-
-namespace {
-
 bool attrs_equal(const OpAttrs& a, const OpAttrs& b) {
   return a.kernel == b.kernel && a.stride == b.stride &&
          a.padding == b.padding && a.out_channels == b.out_channels &&
@@ -150,275 +182,138 @@ bool numel_only_consumer(OpKind kind) {
 /// Layout/attr canonicalization: scrub meaningless attr fields, drop
 /// Flatten ops that only feed flat-buffer consumers, collapse identity
 /// Concats (single input, same descriptor) and ReLU-of-ReLU chains.
-class CanonicalizePass final : public Pass {
- public:
-  std::string name() const override { return kCanonicalizePass; }
-
-  bool run(MutableGraph& g) const override {
-    bool changed = false;
-    for (OpId id : g.live_ids()) {
-      if (!g.alive(id)) continue;  // erased earlier in this sweep
-      OpNode& n = g.node(id);
-      const OpAttrs canon = canonical_attrs(n);
-      if (!attrs_equal(n.attrs, canon)) {
-        n.attrs = canon;
+bool canonicalize(MutableGraph& g) {
+  bool changed = false;
+  for (OpId id : g.live_ids()) {
+    if (!g.alive(id)) continue;  // erased earlier in this sweep
+    OpNode& n = g.node(id);
+    const OpAttrs canon = canonical_attrs(n);
+    if (!attrs_equal(n.attrs, canon)) {
+      n.attrs = canon;
+      changed = true;
+    }
+    switch (n.kind) {
+      case OpKind::kFlatten: {
+        const std::vector<OpId> cons = g.consumers(id);
+        if (cons.empty()) break;  // dead; DCE's job
+        const bool foldable =
+            std::all_of(cons.begin(), cons.end(), [&](OpId c) {
+              return numel_only_consumer(g.node(c).kind);
+            });
+        const OpId producer = n.inputs.front();
+        if (foldable && g.can_redirect(id, producer)) {
+          g.redirect(id, producer);
+          g.erase(id);
+          changed = true;
+        }
+        break;
+      }
+      case OpKind::kConcat: {
+        if (n.inputs.size() != 1) break;
+        const OpId producer = n.inputs.front();
+        if (g.node(producer).output.dims != n.output.dims) break;
+        if (!g.consumers(id).empty() && !g.can_redirect(id, producer)) break;
+        g.redirect(id, producer);
+        g.erase(id);
         changed = true;
+        break;
       }
-      switch (n.kind) {
-        case OpKind::kFlatten: {
-          const std::vector<OpId> cons = g.consumers(id);
-          if (cons.empty()) break;  // dead; DCE's job
-          const bool foldable =
-              std::all_of(cons.begin(), cons.end(), [&](OpId c) {
-                return numel_only_consumer(g.node(c).kind);
-              });
-          const OpId producer = n.inputs.front();
-          if (foldable && g.can_redirect(id, producer)) {
-            g.redirect(id, producer);
-            g.erase(id);
-            changed = true;
-          }
-          break;
-        }
-        case OpKind::kConcat: {
-          if (n.inputs.size() != 1) break;
-          const OpId producer = n.inputs.front();
-          if (g.node(producer).output.dims != n.output.dims) break;
-          if (!g.consumers(id).empty() && !g.can_redirect(id, producer)) break;
-          g.redirect(id, producer);
-          g.erase(id);
-          changed = true;
-          break;
-        }
-        case OpKind::kReLU: {
-          // relu(relu(x)) == relu(x): consumers read the inner one.
-          const OpId producer = n.inputs.front();
-          if (g.node(producer).kind != OpKind::kReLU) break;
-          if (!g.consumers(id).empty() && !g.can_redirect(id, producer)) break;
-          g.redirect(id, producer);
-          g.erase(id);
-          changed = true;
-          break;
-        }
-        default:
-          break;
+      case OpKind::kReLU: {
+        // relu(relu(x)) == relu(x): consumers read the inner one.
+        const OpId producer = n.inputs.front();
+        if (g.node(producer).kind != OpKind::kReLU) break;
+        if (!g.consumers(id).empty() && !g.can_redirect(id, producer)) break;
+        g.redirect(id, producer);
+        g.erase(id);
+        changed = true;
+        break;
       }
+      default:
+        break;
     }
-    return changed;
   }
-};
+  return changed;
+}
 
-/// Fuse a compute op with its trailing ReLU when the ReLU is the op's sole
-/// consumer. The fused node keeps the compute op's name (weights bind by
-/// name) and position; the ReLU's consumers are redirected onto it.
-class FuseReLUPass final : public Pass {
- public:
-  FuseReLUPass(std::string name, OpKind base, OpKind fused)
-      : name_(std::move(name)), base_(base), fused_(fused) {}
-
-  std::string name() const override { return name_; }
-
-  bool run(MutableGraph& g) const override {
-    bool changed = false;
-    for (OpId id : g.live_ids()) {
-      if (!g.alive(id)) continue;
-      if (g.node(id).kind != base_) continue;
-      const std::vector<OpId> cons = g.consumers(id);
-      if (cons.size() != 1) continue;  // the intermediate must be private
-      const OpId relu = cons.front();
-      if (g.node(relu).kind != OpKind::kReLU) continue;
-      if (!g.consumers(relu).empty() && !g.can_redirect(relu, id)) continue;
-      OpNode& n = g.node(id);
-      n.kind = fused_;
-      n.output = g.node(relu).output;  // same descriptor by relu's contract
-      g.redirect(relu, id);
-      g.erase(relu);
-      changed = true;
-    }
-    return changed;
+/// Fuse a `base` compute op with its trailing ReLU into a `fused` op when
+/// the ReLU is the op's sole consumer. The fused node keeps the compute
+/// op's name (weights bind by name) and position; the ReLU's consumers are
+/// redirected onto it.
+bool fuse_relu(MutableGraph& g, OpKind base, OpKind fused) {
+  bool changed = false;
+  for (OpId id : g.live_ids()) {
+    if (!g.alive(id)) continue;
+    if (g.node(id).kind != base) continue;
+    const std::vector<OpId> cons = g.consumers(id);
+    if (cons.size() != 1) continue;  // the intermediate must be private
+    const OpId relu = cons.front();
+    if (g.node(relu).kind != OpKind::kReLU) continue;
+    if (!g.consumers(relu).empty() && !g.can_redirect(relu, id)) continue;
+    OpNode& n = g.node(id);
+    n.kind = fused;
+    n.output = g.node(relu).output;  // same descriptor by relu's contract
+    g.redirect(relu, id);
+    g.erase(relu);
+    changed = true;
   }
-
- private:
-  std::string name_;
-  OpKind base_;
-  OpKind fused_;
-};
-
-/// Ops whose every input is a Constant become Constants themselves: their
-/// output is computable at optimization time and is materialized once with
-/// the weights, so at inference they launch nothing and stream nothing.
-class ConstantFoldingPass final : public Pass {
- public:
-  std::string name() const override { return kConstantFoldingPass; }
-
-  bool run(MutableGraph& g) const override {
-    bool changed = false;
-    for (OpId id : g.live_ids()) {
-      OpNode& n = g.node(id);
-      if (n.kind == OpKind::kInput || n.kind == OpKind::kOutput ||
-          n.kind == OpKind::kConstant || n.inputs.empty()) {
-        continue;
-      }
-      const bool all_const =
-          std::all_of(n.inputs.begin(), n.inputs.end(), [&](OpId in) {
-            return g.node(in).kind == OpKind::kConstant;
-          });
-      if (!all_const) continue;
-      n.kind = OpKind::kConstant;
-      n.attrs = OpAttrs{};
-      n.inputs.clear();
-      changed = true;
-    }
-    return changed;
-  }
-};
+  return changed;
+}
 
 /// Remove ops not backward-reachable from any Output (or, in headless
 /// graphs like hand-built test fixtures, from any sink).
-class DeadOpEliminationPass final : public Pass {
- public:
-  std::string name() const override { return kDeadOpEliminationPass; }
-
-  bool run(MutableGraph& g) const override {
-    const std::vector<OpId> live = g.live_ids();
-    std::vector<OpId> roots;
-    for (OpId id : live) {
-      if (g.node(id).kind == OpKind::kOutput) roots.push_back(id);
-    }
-    if (roots.empty()) {
-      for (OpId id : live) {
-        if (g.consumers(id).empty()) roots.push_back(id);
-      }
-    }
-    std::vector<bool> reachable(g.capacity(), false);
-    std::vector<OpId> stack = roots;
-    while (!stack.empty()) {
-      const OpId id = stack.back();
-      stack.pop_back();
-      if (reachable[static_cast<std::size_t>(id)]) continue;
-      reachable[static_cast<std::size_t>(id)] = true;
-      for (OpId in : g.node(id).inputs) stack.push_back(in);
-    }
-    bool changed = false;
-    // Descending id order: insertion order is topological, so a dead op's
-    // consumers (all dead too) are erased before it.
-    for (auto it = live.rbegin(); it != live.rend(); ++it) {
-      if (!reachable[static_cast<std::size_t>(*it)]) {
-        g.erase(*it);
-        changed = true;
-      }
-    }
-    return changed;
+bool eliminate_dead_ops(MutableGraph& g) {
+  const std::vector<OpId> live = g.live_ids();
+  std::vector<OpId> roots;
+  for (OpId id : live) {
+    if (g.node(id).kind == OpKind::kOutput) roots.push_back(id);
   }
-};
+  if (roots.empty()) {
+    for (OpId id : live) {
+      if (g.consumers(id).empty()) roots.push_back(id);
+    }
+  }
+  std::vector<bool> reachable(g.capacity(), false);
+  std::vector<OpId> stack = roots;
+  while (!stack.empty()) {
+    const OpId id = stack.back();
+    stack.pop_back();
+    if (reachable[static_cast<std::size_t>(id)]) continue;
+    reachable[static_cast<std::size_t>(id)] = true;
+    for (OpId in : g.node(id).inputs) stack.push_back(in);
+  }
+  bool changed = false;
+  // Descending id order: insertion order is topological, so a dead op's
+  // consumers (all dead too) are erased before it.
+  for (auto it = live.rbegin(); it != live.rend(); ++it) {
+    if (!reachable[static_cast<std::size_t>(*it)]) {
+      g.erase(*it);
+      changed = true;
+    }
+  }
+  return changed;
+}
 
 }  // namespace
 
-// --- Registry ---------------------------------------------------------------
-
-PassRegistry& PassRegistry::instance() {
-  static PassRegistry* registry = [] {
-    auto* r = new PassRegistry();
-    r->add(kCanonicalizePass,
-           [] { return std::make_unique<CanonicalizePass>(); });
-    r->add(kFuseConvReLUPass, [] {
-      return std::make_unique<FuseReLUPass>(
-          kFuseConvReLUPass, OpKind::kConv2d, OpKind::kFusedConvReLU);
-    });
-    r->add(kFuseLinearReLUPass, [] {
-      return std::make_unique<FuseReLUPass>(
-          kFuseLinearReLUPass, OpKind::kLinear, OpKind::kFusedLinearReLU);
-    });
-    r->add(kConstantFoldingPass,
-           [] { return std::make_unique<ConstantFoldingPass>(); });
-    r->add(kDeadOpEliminationPass,
-           [] { return std::make_unique<DeadOpEliminationPass>(); });
-    return r;
-  }();
-  return *registry;
-}
-
-void PassRegistry::add(const std::string& name, Factory factory) {
-  DCN_CHECK(static_cast<bool>(factory)) << "null pass factory for " << name;
-  if (!factories_.emplace(name, std::move(factory)).second) {
-    throw ConfigError("pass '" + name + "' is already registered");
-  }
-}
-
-std::unique_ptr<Pass> PassRegistry::create(const std::string& name) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    throw ConfigError("unknown graph pass '" + name + "'");
-  }
-  return it->second();
-}
-
-std::vector<std::string> PassRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
-}
-
-// --- PassManager ------------------------------------------------------------
-
-PassManager::PassManager(int max_iterations)
-    : max_iterations_(max_iterations) {
-  DCN_CHECK(max_iterations >= 1) << "PassManager needs >= 1 iteration";
-}
-
-void PassManager::add(std::unique_ptr<Pass> pass) {
-  DCN_CHECK(pass != nullptr) << "null pass";
-  passes_.push_back(std::move(pass));
-}
-
-void PassManager::add(const std::string& registered_name) {
-  add(PassRegistry::instance().create(registered_name));
-}
-
-Graph PassManager::run(const Graph& graph, PassStats* stats) const {
-  PassStats local;
-  local.ops_before = graph.size();
+Graph optimize_graph(const Graph& graph) {
   MutableGraph g(graph);
   bool changed = true;
-  while (changed && local.iterations < max_iterations_) {
-    changed = false;
-    ++local.iterations;
-    for (const std::unique_ptr<Pass>& pass : passes_) {
-      if (pass->run(g)) {
-        changed = true;
-        ++local.rewrites[pass->name()];
-      }
-    }
+  for (int sweep = 0; changed && sweep < kMaxSweeps; ++sweep) {
+    // Every rewrite runs in every sweep, in this order.
+    changed = canonicalize(g);
+    changed |= fuse_relu(g, OpKind::kConv2d, OpKind::kFusedConvReLU);
+    changed |= fuse_relu(g, OpKind::kLinear, OpKind::kFusedLinearReLU);
+    changed |= eliminate_dead_ops(g);
   }
   Graph out = g.build();
   validate_shapes(out);
-  local.ops_after = out.size();
-  if (stats != nullptr) *stats = local;
   return out;
-}
-
-Graph optimize_graph(const Graph& graph, const OptimizeOptions& options,
-                     PassStats* stats) {
-  PassManager manager(options.max_iterations);
-  if (options.canonicalize) manager.add(kCanonicalizePass);
-  if (options.fuse) {
-    manager.add(kFuseConvReLUPass);
-    manager.add(kFuseLinearReLUPass);
-  }
-  if (options.fold_constants) manager.add(kConstantFoldingPass);
-  if (options.eliminate_dead) manager.add(kDeadOpEliminationPass);
-  return manager.run(graph, stats);
 }
 
 std::size_t device_op_count(const Graph& graph) {
   std::size_t count = 0;
   for (const OpNode& node : graph.nodes()) {
-    // Mirrors simgpu::is_device_op (graph cannot depend on simgpu).
-    if (node.kind != OpKind::kInput && node.kind != OpKind::kOutput &&
-        node.kind != OpKind::kConstant) {
-      ++count;
-    }
+    if (is_device_op(node.kind)) ++count;
   }
   return count;
 }

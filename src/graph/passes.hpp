@@ -1,157 +1,31 @@
-// Graph optimizer pass framework.
+// Graph optimizer: one fixed rewrite pipeline over the inference DAG.
 //
-// A Pass is one rewrite rule over the inference DAG (conv+ReLU fusion,
-// constant folding, dead-op elimination, canonicalization); a PassManager
-// runs a pipeline of passes round-robin to fixpoint. Passes rewrite a
-// MutableGraph — a scratch view with stable ids, tombstone deletion, and
-// edge redirection — and the manager compacts the survivors back into an
-// immutable graph::Graph that IOS schedules directly. The design follows
-// popart's pattern registry (each rule is a small named class found by
-// name in a process-wide registry) and its const-expr folding utilities,
-// scaled down to this repo's cost-oriented IR.
+// optimize_graph runs four rewrites in order — canonicalization, conv+ReLU
+// fusion, linear+ReLU fusion, dead-op elimination — and repeats the whole
+// sweep until none of them changes the graph. The result is an immutable
+// graph::Graph that IOS schedules directly.
 //
 // Why this matters: the tensor engine already fuses bias+ReLU into GEMM
 // epilogue stores, but the graph handed to the IOS scheduler still carried
 // one node per op — so the cost model priced a kernel launch and a DRAM
 // round-trip of the pre-activation tensor that the engine never performs.
-// Running these passes *before* IOS DP makes schedules, simulated costs,
-// and schedule-cache keys all see the fused reality.
+// Optimizing *before* IOS DP makes schedules, simulated costs, and
+// schedule-cache keys all see the fused reality.
 //
-// Determinism: passes visit nodes in ascending id order and the manager's
+// Determinism: every rewrite visits nodes in ascending id order and the
 // pipeline order is fixed, so optimization is a pure function of the input
 // graph — the same graph always optimizes to the same graph.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
+#include <cstddef>
 
 #include "graph/graph.hpp"
 
 namespace dcn::graph {
 
-/// Scratch rewrite view over a Graph. Node ids stay stable while passes
-/// mutate; erased nodes become tombstones skipped by live_ids(); build()
-/// compacts survivors (in original insertion order, which every rewrite
-/// here preserves as a topological order) into a fresh validated Graph.
-class MutableGraph {
- public:
-  explicit MutableGraph(const Graph& graph);
-
-  /// Ids ever allocated (live or dead); valid id range is [0, capacity()).
-  std::size_t capacity() const { return nodes_.size(); }
-  std::size_t live_count() const;
-
-  OpNode& node(OpId id);
-  const OpNode& node(OpId id) const;
-  bool alive(OpId id) const;
-
-  /// Live ids in insertion order.
-  std::vector<OpId> live_ids() const;
-
-  /// Live consumers of `id`'s output, ascending.
-  std::vector<OpId> consumers(OpId id) const;
-
-  /// Whether redirecting `from` -> `to` keeps all input lists duplicate-free
-  /// (a consumer reading both tensors would end up with a double edge).
-  bool can_redirect(OpId from, OpId to) const;
-
-  /// Point every live consumer of `from` at `to`. Requires can_redirect().
-  void redirect(OpId from, OpId to);
-
-  /// Tombstone a node; its consumers must have been redirected already.
-  void erase(OpId id);
-
-  /// Compact into a validated Graph (Graph::add_op re-checks every edge).
-  Graph build() const;
-
- private:
-  std::vector<OpNode> nodes_;
-  std::vector<bool> alive_;
-};
-
-/// One rewrite rule. run() performs a single sweep and reports whether it
-/// changed the graph; the PassManager re-runs the pipeline until no pass
-/// reports a change (so each pass may be written as a simple local sweep).
-class Pass {
- public:
-  virtual ~Pass() = default;
-  virtual std::string name() const = 0;
-  virtual bool run(MutableGraph& graph) const = 0;
-};
-
-/// Process-wide name -> factory table (the popart pattern-registry idiom).
-/// The built-in passes register themselves on first access; callers can add
-/// project-specific rules under new names.
-class PassRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Pass>()>;
-
-  static PassRegistry& instance();
-
-  /// Throws ConfigError if `name` is already taken.
-  void add(const std::string& name, Factory factory);
-  /// Throws ConfigError for unknown names.
-  std::unique_ptr<Pass> create(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
-};
-
-/// Built-in pass names (as registered in the PassRegistry).
-inline constexpr const char* kCanonicalizePass = "canonicalize";
-inline constexpr const char* kFuseConvReLUPass = "fuse-conv-relu";
-inline constexpr const char* kFuseLinearReLUPass = "fuse-linear-relu";
-inline constexpr const char* kConstantFoldingPass = "constant-folding";
-inline constexpr const char* kDeadOpEliminationPass = "dead-op-elimination";
-
-struct PassStats {
-  /// Full pipeline sweeps until fixpoint (including the final no-op sweep).
-  int iterations = 0;
-  /// Per-pass count of sweeps that changed the graph.
-  std::map<std::string, int> rewrites;
-  std::size_t ops_before = 0;
-  std::size_t ops_after = 0;
-};
-
-/// Runs its passes in order, repeating the whole pipeline until a full
-/// sweep changes nothing (bounded by max_iterations as a safety net against
-/// a rule pair that ping-pongs).
-class PassManager {
- public:
-  explicit PassManager(int max_iterations = 8);
-
-  void add(std::unique_ptr<Pass> pass);
-  /// Convenience: instantiate a registered pass by name.
-  void add(const std::string& registered_name);
-
-  /// Optimize `graph`; the input is untouched. The result is shape-validated
-  /// before it is returned.
-  Graph run(const Graph& graph, PassStats* stats = nullptr) const;
-
- private:
-  int max_iterations_;
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
-
-/// Which rewrites the standard pipeline applies. Field order is pipeline
-/// order: canonicalize, fuse, fold, eliminate.
-struct OptimizeOptions {
-  bool canonicalize = true;
-  /// conv+bias+ReLU and linear+bias+ReLU into single fused kernel nodes.
-  bool fuse = true;
-  bool fold_constants = true;
-  bool eliminate_dead = true;
-  int max_iterations = 8;
-};
-
-/// The standard optimization pipeline over the registry's built-in passes.
-Graph optimize_graph(const Graph& graph, const OptimizeOptions& options = {},
-                     PassStats* stats = nullptr);
+/// Optimize `graph`; the input is untouched. The result is shape-validated
+/// before it is returned.
+Graph optimize_graph(const Graph& graph);
 
 /// Scheduled kernel launches of a graph: its device ops (what one inference
 /// costs in launches — the paper's Fig. 7 x-axis).

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/error.hpp"
-#include "simgpu/kernels.hpp"
 
 namespace dcn::ios {
 
@@ -65,7 +64,7 @@ void validate_schedule(const graph::Graph& graph, const Schedule& schedule) {
   // Coverage: exactly the device ops.
   std::size_t device_ops = 0;
   for (const graph::OpNode& node : graph.nodes()) {
-    if (!simgpu::is_device_op(node.kind)) continue;
+    if (!graph::is_device_op(node.kind)) continue;
     ++device_ops;
     DCN_CHECK(position.count(node.id))
         << "device op '" << node.name << "' missing from schedule";
@@ -92,7 +91,7 @@ void validate_schedule(const graph::Graph& graph, const Schedule& schedule) {
 Schedule sequential_schedule(const graph::Graph& graph) {
   Schedule schedule;
   for (const graph::OpNode& node : graph.nodes()) {
-    if (!simgpu::is_device_op(node.kind)) continue;
+    if (!graph::is_device_op(node.kind)) continue;
     Stage stage;
     stage.groups.push_back(Group{{node.id}});
     schedule.stages.push_back(std::move(stage));

@@ -21,6 +21,47 @@ constexpr std::int64_t kGradChunks = 8;
 
 }  // namespace
 
+Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
+                      const float* bias, std::int64_t stride,
+                      std::int64_t padding, bool relu) {
+  const std::int64_t batch = input.dim(0);
+  const std::int64_t out_c = weight.dim(0);
+  ConvGeometry g;
+  g.channels = input.dim(1);
+  g.height = input.dim(2);
+  g.width = input.dim(3);
+  g.kernel_h = weight.dim(2);
+  g.kernel_w = weight.dim(3);
+  g.stride_h = g.stride_w = stride;
+  g.pad_h = g.pad_w = padding;
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  DCN_CHECK(oh > 0 && ow > 0) << "Conv2d output would be empty for input "
+                              << input.shape().to_string();
+  const std::int64_t k = g.channels * g.kernel_h * g.kernel_w;
+  const std::int64_t ohw = oh * ow;
+
+  Tensor output(Shape{batch, out_c, oh, ow});
+  const std::int64_t in_stride = g.channels * g.height * g.width;
+  const std::int64_t out_stride = out_c * ohw;
+  // The per-channel bias (and a fused ReLU) rides the GEMM's epilogue
+  // instead of a separate sweep over the output.
+  GemmEpilogue epilogue;
+  epilogue.row_bias = bias;
+  epilogue.relu = relu;
+  // Samples are independent (disjoint output).
+  for_each_sample(batch, [&](std::int64_t n) {
+    Workspace& ws = Workspace::tls();
+    Workspace::Scope scope(ws);
+    float* col = ws.floats(static_cast<std::size_t>(k * ohw));
+    im2col(input.data() + n * in_stride, g, col);
+    // output[oc, ohw] = weight[oc, k] * col[k, ohw] + bias[oc]
+    sgemm_ex(false, false, out_c, ohw, k, 1.0f, weight.data(), k, col, ohw,
+             0.0f, output.data() + n * out_stride, ohw, epilogue);
+  });
+  return output;
+}
+
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel_size, std::int64_t stride,
                std::int64_t padding, Rng& rng)
@@ -66,46 +107,8 @@ Tensor Conv2d::forward(const Tensor& input) {
                                << input.shape().to_string();
   DCN_CHECK(input.dim(1) == in_channels_)
       << "Conv2d channels " << input.dim(1) << " != " << in_channels_;
-  const std::int64_t batch = input.dim(0);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const ConvGeometry g = geometry(h, w);
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  DCN_CHECK(oh > 0 && ow > 0) << "Conv2d output would be empty for input "
-                              << input.shape().to_string();
-  const std::int64_t k = in_channels_ * kernel_size_ * kernel_size_;
-  const std::int64_t ohw = oh * ow;
-
-  Tensor output(Shape{batch, out_channels_, oh, ow});
-  const std::int64_t in_stride = in_channels_ * h * w;
-  const std::int64_t out_stride = out_channels_ * ohw;
-  // The per-channel bias rides the GEMM's fused epilogue instead of a
-  // separate sweep over the output.
-  GemmEpilogue epilogue;
-  epilogue.row_bias = bias_.data();
-  const auto run_sample = [&](std::int64_t n) {
-    Workspace& ws = Workspace::tls();
-    Workspace::Scope scope(ws);
-    float* col = ws.floats(static_cast<std::size_t>(k * ohw));
-    im2col(input.data() + n * in_stride, g, col);
-    // output[oc, ohw] = weight[oc, k] * col[k, ohw] + bias[oc]
-    sgemm_ex(false, false, out_channels_, ohw, k, 1.0f, weight_.data(), k,
-             col, ohw, 0.0f, output.data() + n * out_stride, ohw, epilogue);
-  };
-  // Samples are independent (disjoint output) — distribute contiguous
-  // sample ranges over the pool. A single sample instead parallelizes
-  // inside the GEMM.
-  const int tasks = static_cast<int>(
-      std::min<std::int64_t>(compute_threads(), batch));
-  if (tasks <= 1) {
-    for (std::int64_t n = 0; n < batch; ++n) run_sample(n);
-  } else {
-    run_compute_tasks(tasks, [&](int t) {
-      const auto [lo, hi] = chunk_range(batch, tasks, t);
-      for (std::int64_t n = lo; n < hi; ++n) run_sample(n);
-    });
-  }
+  Tensor output =
+      conv2d_forward(input, weight_, bias_.data(), stride_, padding_);
   cached_input_ = input;
   has_cached_input_ = true;
   return output;

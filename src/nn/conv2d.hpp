@@ -8,6 +8,14 @@ namespace dcn {
 
 class Rng;
 
+/// The conv forward over NCHW `input` with a [out_c, in_c, k, k] `weight`,
+/// shared by Conv2d and the graph executor: per sample, im2col then one
+/// GEMM whose epilogue adds the per-channel `bias` (and, when `relu`,
+/// applies max(x, 0) in the same store); samples run via for_each_sample.
+Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
+                      const float* bias, std::int64_t stride,
+                      std::int64_t padding, bool relu = false);
+
 /// Convolution over NCHW inputs. Matches the paper's C_{filters,size,stride}
 /// notation; padding defaults to "same-ish" (kernel/2) like the reference
 /// implementation so spatial size is preserved for stride 1.

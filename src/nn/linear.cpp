@@ -6,6 +6,22 @@
 
 namespace dcn {
 
+Tensor linear_forward(const Tensor& input, const Tensor& weight,
+                      const float* bias, bool relu) {
+  const std::int64_t batch = input.dim(0);
+  const std::int64_t out_f = weight.dim(0);
+  const std::int64_t in_f = weight.dim(1);
+  Tensor output(Shape{batch, out_f});
+  // y[N, out] = x[N, in] * W[out, in]^T + b, the per-feature bias (and a
+  // fused ReLU) in the GEMM's epilogue instead of a second sweep.
+  GemmEpilogue epilogue;
+  epilogue.col_bias = bias;
+  epilogue.relu = relu;
+  sgemm_ex(false, true, batch, out_f, in_f, 1.0f, input.data(), in_f,
+           weight.data(), in_f, 0.0f, output.data(), out_f, epilogue);
+  return output;
+}
+
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
     : in_features_(in_features),
       out_features_(out_features),
@@ -23,15 +39,7 @@ Tensor Linear::forward(const Tensor& input) {
                                << input.shape().to_string();
   DCN_CHECK(input.dim(1) == in_features_)
       << "Linear in_features " << input.dim(1) << " != " << in_features_;
-  const std::int64_t batch = input.dim(0);
-  Tensor output(Shape{batch, out_features_});
-  // y[N, out] = x[N, in] * W[out, in]^T + b, the per-feature bias fused
-  // into the GEMM's epilogue instead of a second sweep over the output.
-  GemmEpilogue epilogue;
-  epilogue.col_bias = bias_.data();
-  sgemm_ex(false, true, batch, out_features_, in_features_, 1.0f,
-           input.data(), in_features_, weight_.data(), in_features_, 0.0f,
-           output.data(), out_features_, epilogue);
+  Tensor output = linear_forward(input, weight_, bias_.data());
   cached_input_ = input;
   has_cached_input_ = true;
   return output;

@@ -7,6 +7,12 @@ namespace dcn {
 
 class Rng;
 
+/// y = x W^T + b for x [N, in] and `weight` [out, in], shared by Linear and
+/// the graph executor: one GEMM whose epilogue adds the per-feature `bias`
+/// (and, when `relu`, applies max(y, 0) in the same store).
+Tensor linear_forward(const Tensor& input, const Tensor& weight,
+                      const float* bias, bool relu = false);
+
 /// y = x W^T + b over rank-2 inputs [N, in_features].
 class Linear : public Module {
  public:

@@ -34,21 +34,16 @@ StagePlan build_stage(const graph::Graph& graph,
     stage.ops.push_back(topo[static_cast<std::size_t>(i)]);
   }
 
-  // External producers map to one subgraph node each: interior device ops
-  // keep their kind, constants are replicated (they ship with the weights
-  // and cost no per-run transfer), original inputs stay inputs, and a cut
-  // activation from an earlier stage becomes a kInput the session's H2D
-  // copy prices as the PCIe staging it is.
+  // External producers map to one subgraph node each: original inputs stay
+  // inputs, and a cut activation from an earlier stage becomes a kInput the
+  // session's H2D copy prices as the PCIe staging it is.
   std::unordered_map<graph::OpId, graph::OpId> remap;
   const auto map_producer = [&](graph::OpId p) -> graph::OpId {
     const auto it = remap.find(p);
     if (it != remap.end()) return it->second;
     const graph::OpNode& node = graph.node(p);
     graph::OpId mapped = graph::kInvalidOp;
-    if (node.kind == graph::OpKind::kConstant) {
-      mapped = stage.subgraph.add_op(graph::OpKind::kConstant, node.name,
-                                     node.attrs, {}, node.output);
-    } else if (node.kind == graph::OpKind::kInput) {
+    if (node.kind == graph::OpKind::kInput) {
       mapped = stage.subgraph.add_op(graph::OpKind::kInput, node.name, {},
                                      {}, node.output);
     } else {
@@ -122,7 +117,7 @@ Partition partition_graph(const graph::Graph& graph,
                           const PartitionOptions& options) {
   std::vector<graph::OpId> topo;
   for (graph::OpId id : graph.topological_order()) {
-    if (simgpu::is_device_op(graph.node(id).kind)) topo.push_back(id);
+    if (graph::is_device_op(graph.node(id).kind)) topo.push_back(id);
   }
   const int n = static_cast<int>(topo.size());
   const int k = options.stages;

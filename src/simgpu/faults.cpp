@@ -167,8 +167,10 @@ FaultPlan FaultPlan::parse(const std::string& spec, std::uint64_t seed) {
         const std::string value = kv.substr(eq + 1);
         if (key == "p") {
           rule.probability = parse_number(key, value);
-          DCN_CHECK(rule.probability >= 0.0 && rule.probability <= 1.0)
-              << "fault probability " << rule.probability;
+          if (!(rule.probability >= 0.0 && rule.probability <= 1.0)) {
+            throw ConfigError("fault probability '" + value +
+                              "' is outside [0, 1]");
+          }
           rule.max_fires = -1;  // stochastic rules default to unbounded
           triggered = true;
         } else if (key == "at") {

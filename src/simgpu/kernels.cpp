@@ -52,15 +52,9 @@ profiler::KernelCategory categorize(graph::OpKind kind) {
     case graph::OpKind::kConcat:
     case graph::OpKind::kInput:
     case graph::OpKind::kOutput:
-    case graph::OpKind::kConstant:
       return profiler::KernelCategory::kMemory;
   }
   return profiler::KernelCategory::kMemory;
-}
-
-bool is_device_op(graph::OpKind kind) {
-  return kind != graph::OpKind::kInput && kind != graph::OpKind::kOutput &&
-         kind != graph::OpKind::kConstant;
 }
 
 KernelDesc make_kernel_desc(const graph::Graph& graph, graph::OpId id,
@@ -74,7 +68,7 @@ KernelDesc make_kernel_desc(const graph::Graph& graph, graph::OpId id,
   desc.precision = precision;
   desc.epilogue = graph::is_fused_kind(node.kind) ? Epilogue::kReLU
                                                   : Epilogue::kNone;
-  if (!is_device_op(node.kind)) return desc;
+  if (!graph::is_device_op(node.kind)) return desc;
 
   // 1 byte per element instead of 4 for both activations and weights; the
   // MAC count is untouched (the int8 compute gain is a device property

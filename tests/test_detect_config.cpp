@@ -58,14 +58,28 @@ TEST(Notation, Table1PresetsMatchPaper) {
 }
 
 TEST(Notation, MalformedInputsThrow) {
-  EXPECT_THROW(parse_notation(""), dcn::Error);
-  EXPECT_THROW(parse_notation("C_{64,3,1}"), dcn::Error);  // no SPP
-  EXPECT_THROW(parse_notation("X_{1}-SPP_{2,1}"), dcn::Error);
-  EXPECT_THROW(parse_notation("C_{64,3}-SPP_{2,1}"), dcn::Error);
-  EXPECT_THROW(parse_notation("C_{64,3,1}-SPP_{2,1}-SPP_{2,1}"), dcn::Error);
-  EXPECT_THROW(parse_notation("F_{128}-SPP_{2,1}"), dcn::Error);
-  EXPECT_THROW(parse_notation("C_{64,a,1}-SPP_{2,1}"), dcn::Error);
-  EXPECT_THROW(parse_notation("SPP_{2,1}-C_{64,3,1}"), dcn::Error);
+  // Every malformed-input class throws the ConfigError parse_notation
+  // documents, not a bare dcn::Error.
+  const char* malformed[] = {
+      "C_(64,3,1)-SPP_{2,1}",            // bad braces
+      "C_{64,3,1-SPP_{2,1}",             // unclosed brace
+      "",                                // empty notation
+      "C_{}-SPP_{2,1}",                  // empty token
+      "C_{64,,1}-SPP_{2,1}",             // empty integer
+      "C_{64,a,1}-SPP_{2,1}",            // not an integer
+      "X_{1}-SPP_{2,1}",                 // unknown token
+      "SPP_{2,1}-C_{64,3,1}",            // conv after SPP
+      "SPP_{2,1}-P_{2,2}",               // pool after SPP
+      "C_{64,3,1}-SPP_{2,1}-SPP_{2,1}",  // duplicate SPP
+      "F_{128}-SPP_{2,1}",               // F before SPP
+      "C_{64,3}-SPP_{2,1}",              // conv arity
+      "P_{2}-SPP_{2,1}",                 // pool arity
+      "SPP_{2,1}-F_{128,2}",             // fc arity
+      "C_{64,3,1}",                      // missing SPP
+  };
+  for (const char* notation : malformed) {
+    EXPECT_THROW(parse_notation(notation), ConfigError) << notation;
+  }
 }
 
 TEST(Config, SppFeaturesAndChannels) {

@@ -66,6 +66,8 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("launch:p"), ConfigError);
   EXPECT_THROW(FaultPlan::parse("launch:p=lots"), ConfigError);
   EXPECT_THROW(FaultPlan::parse("launch"), ConfigError);  // no trigger
+  EXPECT_THROW(FaultPlan::parse("launch:p=1.5"), ConfigError);  // > 1
+  EXPECT_THROW(FaultPlan::parse("launch:p=-0.1"), ConfigError);  // < 0
 }
 
 TEST(FaultInjector, ScheduledRuleFiresAtOpAndRespectsMaxFires) {

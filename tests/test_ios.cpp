@@ -10,7 +10,6 @@
 #include "ios/gantt.hpp"
 #include "ios/schedule.hpp"
 #include "ios/scheduler.hpp"
-#include "ios/serialize.hpp"
 #include "simgpu/device.hpp"
 #include "simgpu/spec.hpp"
 
@@ -326,47 +325,6 @@ TEST(ScheduleCost, MatchesExecutorUpToTransfersAndSync) {
   // pure stage cost, but only by a bounded overhead.
   EXPECT_GT(measured, modeled);
   EXPECT_LT(measured, modeled + 500e-6);
-}
-
-TEST(ScheduleSerialize, RoundTripsOptimizedSchedule) {
-  const auto g =
-      graph::build_inference_graph(detect::sppnet_candidate2(), 100);
-  const auto spec = simgpu::a5500_spec();
-  const ios::Schedule schedule = ios::optimize_schedule(g, spec);
-  const std::string text = ios::serialize_schedule(schedule);
-  const ios::Schedule back = ios::deserialize_schedule(text);
-  ASSERT_EQ(back.num_stages(), schedule.num_stages());
-  EXPECT_EQ(back.num_kernels(), schedule.num_kernels());
-  EXPECT_EQ(ios::serialize_schedule(back), text);
-  ios::validate_schedule(g, back);
-}
-
-TEST(ScheduleSerialize, FileRoundTripValidates) {
-  const auto g =
-      graph::build_inference_graph(detect::original_sppnet(), 64);
-  const auto spec = simgpu::a5500_spec();
-  const ios::Schedule schedule = ios::optimize_schedule(g, spec);
-  const std::string path = testing::TempDir() + "/dcn_schedule.txt";
-  ios::save_schedule(schedule, path);
-  const ios::Schedule back = ios::load_schedule(g, path);
-  EXPECT_EQ(back.num_stages(), schedule.num_stages());
-}
-
-TEST(ScheduleSerialize, RejectsGarbage) {
-  EXPECT_THROW(ios::deserialize_schedule("nonsense"), Error);
-  EXPECT_THROW(ios::deserialize_schedule("schedule v1\ngroup 1\n"), Error);
-  EXPECT_THROW(ios::deserialize_schedule("schedule v1\nstage\nwat 1\n"),
-               Error);
-  EXPECT_THROW(ios::deserialize_schedule("schedule v1\nstage\ngroup\n"),
-               Error);
-}
-
-TEST(ScheduleSerialize, LoadValidatesAgainstGraph) {
-  const auto g =
-      graph::build_inference_graph(detect::original_sppnet(), 64);
-  const std::string path = testing::TempDir() + "/dcn_bad_schedule.txt";
-  ios::save_schedule(ios::Schedule{{ios::Stage{{ios::Group{{1}}}}}}, path);
-  EXPECT_THROW(ios::load_schedule(g, path), Error);  // misses most ops
 }
 
 TEST(Gantt, StructureMatchesSchedule) {

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "profiler/counters.hpp"
@@ -31,18 +33,29 @@ namespace {
 using kernels::KernelRegistry;
 using kernels::TileTuner;
 
-// Every test runs against a private tuner cache directory so the suite
-// neither reads nor pollutes the user's ~/.cache.
+// The suite never reads or pollutes the user's ~/.cache: every test runs
+// against one suite-level tuner cache directory, so a shape class one
+// variant sweep tuned is a memo or disk hit for the next sweep instead of
+// a second cold autotune. Tests of the tuner's own cold / warm / corrupt
+// paths call use_private_cache() to start from an empty directory.
 class KernelsTest : public testing::Test {
  protected:
+  static void SetUpTestSuite() {
+    shared_dir_ = std::filesystem::temp_directory_path() /
+                  ("dcn-kernels-test-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(shared_dir_);
+  }
+  static void TearDownTestSuite() {
+    TileTuner::global().set_cache_dir("");
+    std::filesystem::remove_all(shared_dir_);
+  }
+
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("dcn-kernels-test-" + std::to_string(::testing::UnitTest::
-                                                     GetInstance()
-                                                         ->random_seed()) +
-            "-" + test_name());
-    std::filesystem::remove_all(dir_);
-    TileTuner::global().set_cache_dir(dir_.string());
+    // set_cache_dir drops the memo, so only switch back when a previous
+    // test left a private directory behind.
+    if (TileTuner::global().cache_dir() != shared_dir_.string()) {
+      TileTuner::global().set_cache_dir(shared_dir_.string());
+    }
     // Neutralize an ambient variant override (the CI portable leg runs the
     // whole suite with DCN_KERNEL_VARIANT=generic): these tests assert
     // auto-selection and set the variable themselves where needed.
@@ -56,14 +69,18 @@ class KernelsTest : public testing::Test {
       ::setenv("DCN_KERNEL_VARIANT", ambient_variant_.c_str(), 1);
     }
     KernelRegistry::global().reselect();
-    TileTuner::global().set_cache_dir("");
-    std::filesystem::remove_all(dir_);
+    if (!private_dir_.empty()) std::filesystem::remove_all(private_dir_);
   }
-  std::string test_name() const {
+  // Point the tuner at an empty directory of this test's own (and drop the
+  // memo), so the test sees a cold cache whatever ran before it.
+  void use_private_cache() {
     const auto* info = testing::UnitTest::GetInstance()->current_test_info();
-    return std::string(info->test_suite_name()) + "." + info->name();
+    private_dir_ = shared_dir_.string() + "-" + info->name();
+    std::filesystem::remove_all(private_dir_);
+    TileTuner::global().set_cache_dir(private_dir_.string());
   }
-  std::filesystem::path dir_;
+  inline static std::filesystem::path shared_dir_;
+  std::filesystem::path private_dir_;
   std::string ambient_variant_;
 };
 
@@ -286,6 +303,7 @@ TEST_F(KernelsTest, AllTunableTilesBitIdentical) {
 // ----------------------------------------------------------------- tuner --
 
 TEST_F(KernelsTest, TunerColdThenWarmFromDiskIsByteIdentical) {
+  use_private_cache();
   TileTuner& tuner = TileTuner::global();
   tuner.reset_stats();
   profiler::reset_counters();
@@ -322,6 +340,7 @@ TEST_F(KernelsTest, TunerColdThenWarmFromDiskIsByteIdentical) {
 }
 
 TEST_F(KernelsTest, CorruptedCacheEntryFallsBackToRetune) {
+  use_private_cache();
   TileTuner& tuner = TileTuner::global();
   const kernels::KernelVariant& v = KernelRegistry::global().active();
   Rng rng(92);

@@ -516,7 +516,7 @@ TEST(PrecisionTest, Int8DescriptorsCarryQuarterBytesSameFlops) {
       graph::build_inference_graph(detect::original_sppnet(), 40);
   bool checked_conv = false;
   for (const graph::OpId id : g.topological_order()) {
-    if (!simgpu::is_device_op(g.node(id).kind)) continue;
+    if (!graph::is_device_op(g.node(id).kind)) continue;
     const simgpu::KernelDesc fp32 = simgpu::make_kernel_desc(g, id);
     const simgpu::KernelDesc int8 =
         simgpu::make_kernel_desc(g, id, simgpu::Precision::kInt8);
@@ -584,7 +584,7 @@ TEST(CacheKeyTest, BlockKeysDifferByPrecision) {
   const auto spec = simgpu::a5500_spec();
   std::vector<graph::OpId> ops;
   for (const graph::OpId id : g.topological_order()) {
-    if (simgpu::is_device_op(g.node(id).kind)) ops.push_back(id);
+    if (graph::is_device_op(g.node(id).kind)) ops.push_back(id);
   }
   ios::IosOptions fp32_options;
   ios::IosOptions int8_options;

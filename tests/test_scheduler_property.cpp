@@ -106,7 +106,7 @@ TEST_P(RandomGraphProperty, BruteForceIsALowerBound) {
   const graph::Graph g = random_graph(rng);
   std::size_t device_ops = 0;
   for (const auto& node : g.nodes()) {
-    if (simgpu::is_device_op(node.kind)) ++device_ops;
+    if (graph::is_device_op(node.kind)) ++device_ops;
   }
   if (device_ops > 12) GTEST_SKIP() << "too large for the oracle";
   const auto spec = simgpu::a5500_spec();
